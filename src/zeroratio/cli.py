@@ -5,11 +5,13 @@ jensen (circle-average identity), jost (kernel transform evaluation and
 fits), verify (inequality checks producing a JSON report array).
 
 Exit codes: 0 when every verdict is pass or pass-with-unmet-preconditions,
-1 when any verdict is fail, 2 on evaluation errors, 64 on usage errors,
-66 when an input file is missing, 73 when an output file cannot be written.
+1 when any verdict is fail, 2 on evaluation errors (a non-finite bound,
+observation or transform value among them), 64 on usage errors, 66 when an
+input file is missing, 73 when an output file cannot be written.
 
 Identical invocations produce byte-identical output: all randomness is keyed
-by --seed (default 0) and parallel reductions are order-fixed.
+by --seed (default 0) and every evaluation runs in one thread in a fixed
+order (--threads is accepted and ignored).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from .constants import (
     ClassParams,
+    GenusError,
     ParameterError,
     constant_Ap,
     derive_constants,
@@ -55,7 +58,15 @@ from .verifier import (
     check_step5_bounds,
     check_theorem,
 )
-from .zeros import EvaluationError, jensen_check, locate_zeros
+from .zeros import (
+    EvaluationError,
+    NonConvergentError,
+    UnresolvedClusterError,
+    ZeroAtOriginError,
+    ZeroOnContourError,
+    jensen_check,
+    locate_zeros,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -71,6 +82,11 @@ _EVAL_ERRORS = (
     PairConstructionError,
     ParameterError,
     DomainError,
+    GenusError,
+    ZeroAtOriginError,
+    NonConvergentError,
+    UnresolvedClusterError,
+    ZeroOnContourError,
 )
 
 
@@ -238,6 +254,8 @@ def _cmd_jost(args) -> int:
     fn = boost_ray_decay(jost) if args.boost else jost.as_analytic_fn()
     if args.eval is not None:
         value = complex(np.asarray(fn(args.eval), dtype=complex))
+        if not np.isfinite(value):
+            raise EvaluationError(f"non-finite transform value at z = {args.eval}")
         payload = {
             "z": [format_float(args.eval.real), format_float(args.eval.imag)],
             "value": [format_float(value.real), format_float(value.imag)],
@@ -283,14 +301,14 @@ def _verify_lemma2(args) -> list[VerificationReport]:
         a = args.a if args.a is not None else float(p + 1)
         zeros = ZeroSet.from_csv(args.zeros)
         return [
-            check_lemma2(zeros, args.R, a, p, delta, params, grid=grid, threads=args.threads)
+            check_lemma2(zeros, args.R, a, p, delta, params, grid=grid)
         ]
     build = _load_build(args)
     spec = build.spec
     a = args.a if args.a is not None else float(build.p + 1)
     return [
         check_lemma2(
-            side, spec.R, a, build.p, spec.delta, spec.params, grid=grid, threads=args.threads
+            side, spec.R, a, build.p, spec.delta, spec.params, grid=grid
         )
         for side in (spec.outer_a, spec.outer_b)
     ]
@@ -323,7 +341,7 @@ def _verify_lemma3(args) -> list[VerificationReport]:
         raise _UsageError("verify lemma3 needs --coeffs LIST or --poly-seed N")
     return [
         check_lemma3(
-            coeffs, args.r, args.mu, grid=_grid_from(args), threads=args.threads
+            coeffs, args.r, args.mu, grid=_grid_from(args)
         )
     ]
 
@@ -338,15 +356,19 @@ def _cmd_verify(args) -> int:
         build = _load_build(args)
         grid = _grid_from(args)
         if kind == "decomposition":
-            reports = [check_decomposition(build, grid=grid, threads=args.threads)]
+            reports = [check_decomposition(build, grid=grid)]
         elif kind == "step5":
-            reports = check_step5_bounds(build, grid=grid, threads=args.threads)
+            reports = check_step5_bounds(build, grid=grid)
         elif kind == "theorem":
-            reports = check_theorem(build, eps=args.eps, grid=grid, threads=args.threads)
+            reports = check_theorem(build, eps=args.eps, grid=grid)
         elif kind == "remark5":
             reports = [check_remark5(build, eps=args.eps)]
         else:  # pragma: no cover - argparse restricts choices
             raise _UsageError(f"unknown verify target {kind!r}")
+    for r in reports:
+        for name, value in (("bound", r.bound), ("observed", r.observed)):
+            if not np.isfinite(value):
+                raise EvaluationError(f"{r.check}: {name} is {format_float(value)}")
     text = reports_to_json(reports) if args.format == "json" else _reports_csv(reports)
     _emit(text, args.out)
     if args.plot_data is not None:
@@ -437,7 +459,8 @@ def build_parser() -> _Parser:
     common.add_argument("--pair", default=None, help="pair JSON file")
     common.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=None)
+    common.add_argument("--threads", type=int, default=None,
+                        help="accepted and ignored; evaluation is single-threaded")
     common.add_argument("--poly-scale", dest="poly_scale", type=float, default=0.0,
                         help="inject polynomial exponents of this size into the preset pair")
     common.add_argument("--out", default=None)

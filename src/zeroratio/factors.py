@@ -14,10 +14,9 @@ cancellation.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -147,64 +146,19 @@ def guard_radius(p: int) -> float:
 _GUARD_SLACK = 1.0 + 1e-12
 
 
-def log_primary_factor(xi: complex, p: int) -> complex:
-    """log E_p(xi) = -sum_{k >= p+1} xi^k / k for |xi| <= p/(p+1).
-
-    Summed term by term until the geometric remainder bound
-    |xi|^(K+1) / ((K+1)(1 - |xi|)) drops below 1e-18 relative to the leading
-    term, so no cancellation with the explicit log ever occurs.
-    """
-    if p < 0:
-        raise ParameterError("genus must be nonnegative")
-    xi = complex(xi)
-    radius = guard_radius(p)
-    mag = abs(xi)
-    if mag == 0.0:
-        return 0.0 + 0.0j
-    if mag > radius * _GUARD_SLACK:
-        raise DomainError(
-            f"|xi| = {mag:.6g} outside the genus-{p} guard radius {radius:.6g}"
-        )
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    power = xi ** (p + 1)
-    leading = abs(power) / (p + 1)
-    k = p + 1
-    while True:
-        term = power / k
-        # Kahan step
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        power *= xi
-        k += 1
-        remainder = abs(power) / (k * (1.0 - mag))
-        if remainder <= 1e-18 * max(leading, abs(total)):
-            break
-        if k > 100000:  # unreachable for mag <= 20/21, pure safety stop
-            raise ArithmeticError("primary-factor series failed to converge")
-    return -total
-
-
-def primary_factor(xi: complex, p: int) -> complex:
-    """The genus-p primary factor E_p(xi), valid for all xi.
-
-    Inside the guard disk it exponentiates the tail series (fully accurate
-    even when E_p is within 1e-16 of 1); outside it multiplies the explicit
-    form (1 - xi) * exp(xi + ... + xi^p/p).
-    """
-    xi = complex(xi)
-    if p == 0:
-        return 1.0 - xi
-    if abs(xi) <= guard_radius(p):
-        return cmath.exp(log_primary_factor(xi, p))
-    partial = 0.0 + 0.0j
-    power = 1.0 + 0.0j
+def _partial_sum(xi: np.ndarray, p: int) -> np.ndarray:
+    """The degree-p partial sum xi + xi^2/2 + ... + xi^p/p of -log(1 - xi)."""
+    partial = np.zeros_like(xi)
+    power = np.ones_like(xi)
     for k in range(1, p + 1):
-        power *= xi
-        partial += power / k
-    return (1.0 - xi) * cmath.exp(partial)
+        power = power * xi
+        partial = partial + power / k
+    return partial
+
+
+def _explicit_log(xi: np.ndarray, p: int) -> np.ndarray:
+    """log E_p(xi) in the explicit form log1p(-xi) + partial sum."""
+    return np.log1p(-xi) + _partial_sum(xi, p)
 
 
 def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
@@ -251,13 +205,7 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
         out[small] = -(xs ** (p + 1)) * acc
     large = ~small
     if np.any(large):
-        xl = xi[large]
-        partial = np.zeros_like(xl)
-        power = np.ones_like(xl)
-        for k in range(1, p + 1):
-            power = power * xl
-            partial = partial + power / k
-        out[large] = np.log1p(-xl) + partial
+        out[large] = _explicit_log(xi[large], p)
     return out
 
 
@@ -279,14 +227,8 @@ def log_primary_factor_full(xi: np.ndarray, p: int) -> np.ndarray:
         out[inside] = log_primary_factor_grid(xi[inside], p)
     far = ~inside
     if np.any(far):
-        xl = xi[far]
-        partial = np.zeros_like(xl)
-        power = np.ones_like(xl)
-        for k in range(1, p + 1):
-            power = power * xl
-            partial = partial + power / k
         with np.errstate(divide="ignore", invalid="ignore"):
-            out[far] = np.log1p(-xl) + partial
+            out[far] = _explicit_log(xi[far], p)
     return out
 
 
@@ -296,16 +238,11 @@ def primary_factor_grid(z: np.ndarray, location: complex, p: int) -> np.ndarray:
     xi = z / location
     if p == 0:
         return 1.0 - xi
-    partial = np.zeros_like(xi)
-    power = np.ones_like(xi)
-    for k in range(1, p + 1):
-        power = power * xi
-        partial = partial + power / k
-    return (1.0 - xi) * np.exp(partial)
+    return (1.0 - xi) * np.exp(_partial_sum(xi, p))
 
 
 # ---------------------------------------------------------------------------
-# complex expm1 and the e^w - 1 bound
+# complex expm1
 # ---------------------------------------------------------------------------
 
 
@@ -326,13 +263,6 @@ def cexpm1(w):
     return out
 
 
-def exp_minus_one_bound_check(w: complex) -> tuple[float, float]:
-    """Return (|e^w - 1|, |w| * e^|w|); the first never exceeds the second."""
-    w = complex(w)
-    mag = abs(w)
-    return abs(cexpm1(w)), mag * math.exp(mag)
-
-
 # ---------------------------------------------------------------------------
 # truncated tail products
 # ---------------------------------------------------------------------------
@@ -340,18 +270,11 @@ def exp_minus_one_bound_check(w: complex) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TailProductSpec:
-    """A genus-p product over zeros at or beyond a cutoff radius.
-
-    `neglected_bound` optionally records an analytic estimate of the log-mass
-    of zeros the finite set leaves out (for models that stand in for a
-    function with infinitely many zeros); it is carried through evaluation as
-    an error budget, never silently applied.
-    """
+    """A genus-p product over zeros at or beyond a cutoff radius."""
 
     zeros: ZeroSet
     genus: int
     cutoff: float
-    neglected_bound: float = 0.0
 
     def __post_init__(self):
         if self.genus < 1:
@@ -368,28 +291,6 @@ def tail_power_sum(spec: TailProductSpec) -> float:
     """sum of mult * |z_n|^-(genus+1) over the tail zeros, compensated."""
     k = spec.genus + 1
     return math.fsum(m * abs(loc) ** (-k) for loc, m in spec.zeros)
-
-
-def log_tail_product(spec: TailProductSpec, z: complex) -> complex:
-    """Compensated sum of mult * log E_p(z / z_n) over the tail zeros.
-
-    Raises DomainError if any ratio z / z_n leaves the guard disk.
-    """
-    z = complex(z)
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for loc, mult in spec.zeros:
-        term = mult * log_primary_factor(z / loc, spec.genus)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
-def tail_product(spec: TailProductSpec, z: complex) -> complex:
-    """The tail product at a single point, via the compensated log sum."""
-    return cmath.exp(log_tail_product(spec, z))
 
 
 def log_tail_product_grid(spec: TailProductSpec, z: np.ndarray, block: int = 256) -> np.ndarray:
@@ -418,11 +319,7 @@ def log_tail_product_grid(spec: TailProductSpec, z: np.ndarray, block: int = 256
     return total.reshape(z.shape)
 
 
-def tail_product_grid(spec: TailProductSpec, z: np.ndarray) -> np.ndarray:
-    return np.exp(log_tail_product_grid(spec, z))
-
-
 def tail_log_bound(spec: TailProductSpec, z_modulus: float) -> float:
-    """Analytic bound |log product| <= |z|^(p+1) * sum |z_n|^-(p+1) + budget."""
+    """Analytic bound |log product| <= |z|^(p+1) * sum |z_n|^-(p+1)."""
     k = spec.genus + 1
-    return z_modulus**k * tail_power_sum(spec) + spec.neglected_bound
+    return z_modulus**k * tail_power_sum(spec)

@@ -85,10 +85,6 @@ class DiskGrid:
             pts = ring_pts
         return pts + self.center
 
-    def boundary_points(self) -> np.ndarray:
-        angles = 2.0 * math.pi * np.arange(self.spokes) / self.spokes
-        return self.center + self.radius * np.exp(1j * angles)
-
     @property
     def size(self) -> int:
         return self.rings * self.spokes + self.interior

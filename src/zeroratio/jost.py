@@ -108,10 +108,7 @@ class Kernel:
                 # include the right endpoint of the last piece
                 mask = (t >= a) & ((t < b) if i < len(self.coeffs) - 1 else (t <= b))
                 if np.any(mask):
-                    acc = np.zeros_like(out[mask])
-                    for c in reversed(self.coeffs[i]):
-                        acc = acc * t[mask] + c
-                    out[mask] = acc
+                    out[mask] = np.polyval(self.coeffs[i][::-1], t[mask])
         if out.ndim == 0:
             return float(out)
         return out

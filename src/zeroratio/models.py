@@ -68,10 +68,7 @@ class EntireModel:
     # -- evaluation ----------------------------------------------------------
 
     def poly_value(self, z: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in reversed(self.poly):
-            acc = acc * z + c
-        return acc
+        return np.polyval(self.poly[::-1], np.asarray(z, dtype=complex))
 
     def log_value(self, z) -> np.ndarray:
         """Sum of factor logarithms; -inf real part marks an exact zero."""

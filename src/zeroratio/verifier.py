@@ -11,8 +11,6 @@ grid-convergence precondition requiring the two to agree within 1%.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,25 +46,20 @@ _REFINE_TOL = 1e-2
 def map_blocks(
     evaluate: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
-    threads: int | None = None,
     block: int = 8192,
 ) -> np.ndarray:
     """Apply a vectorized evaluator over fixed-size blocks of points.
 
-    Blocks are dispatched to a thread pool but reassembled in input order, so
-    the result is bit-identical for every thread count.
+    Blocks are evaluated one after another in input order and concatenated;
+    the block size bounds the temporaries an evaluator builds per point (a
+    tail product holds a points x zeros array per step).
     """
     points = np.asarray(points)
     if len(points) <= block:
         return np.asarray(evaluate(points))
-    chunks = [points[i : i + block] for i in range(0, len(points), block)]
-    workers = threads if threads and threads > 0 else (os.cpu_count() or 1)
-    if workers == 1:
-        parts = [np.asarray(evaluate(c)) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: np.asarray(evaluate(c)), chunks))
-    return np.concatenate(parts)
+    return np.concatenate(
+        [np.asarray(evaluate(points[i : i + block])) for i in range(0, len(points), block)]
+    )
 
 
 def default_disk_grid(radius: float, seed: int = 0, rings: int = 64, spokes: int = 256, interior: int = 1000) -> DiskGrid:
@@ -81,26 +74,39 @@ def _grid_for(radius: float, grid: DiskGrid | None, seed: int = 0) -> DiskGrid:
     return grid.scaled(radius)
 
 
-def _refined_sup(
-    magnitude: Callable[[np.ndarray], np.ndarray],
+def _on_grid_and_refinement(
+    evaluate: Callable[[np.ndarray], np.ndarray],
     grid: DiskGrid,
-    threads: int | None,
-) -> tuple[float, float, DiskGrid, list[tuple[float, float]]]:
-    """Sampled sup on the grid and its doubled refinement, plus ring profile.
-
-    Returns (sup_base, sup_refined, refined_grid, profile) where profile
-    pairs each refined ring radius with the ring's own maximum.
-    """
-    base_vals = map_blocks(magnitude, grid.points(), threads)
+) -> tuple[np.ndarray, np.ndarray, DiskGrid]:
+    """Values on the grid and on its doubled refinement, plus that refinement."""
+    base_vals = map_blocks(evaluate, grid.points())
     fine = grid.refined()
-    fine_vals = map_blocks(magnitude, fine.points(), threads)
-    profile = fine.ring_profile(fine_vals)
+    return base_vals, map_blocks(evaluate, fine.points()), fine
+
+
+def _sups(
+    base_vals: np.ndarray,
+    fine_vals: np.ndarray,
+    fine: DiskGrid,
+) -> tuple[float, float, DiskGrid, list[tuple[float, float]]]:
+    """(sup_base, sup_refined, refined_grid, profile) of sampled magnitudes.
+
+    The profile pairs each refined ring radius with the ring's own maximum.
+    """
     return (
         float(np.max(base_vals, initial=0.0)),
         float(np.max(fine_vals, initial=0.0)),
         fine,
-        profile,
+        fine.ring_profile(fine_vals),
     )
+
+
+def _refined_sup(
+    magnitude: Callable[[np.ndarray], np.ndarray],
+    grid: DiskGrid,
+) -> tuple[float, float, DiskGrid, list[tuple[float, float]]]:
+    """Sampled sup on the grid and its doubled refinement, plus ring profile."""
+    return _sups(*_on_grid_and_refinement(magnitude, grid))
 
 
 def _converged(sup_base: float, sup_fine: float) -> Precondition:
@@ -168,7 +174,6 @@ def check_lemma2(
     delta: float,
     params: ClassParams,
     grid: DiskGrid | None = None,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Tail-product deviation |Pi(R, z) - 1| against 2*C2*a^(p+1)*R^(-mu).
 
@@ -187,7 +192,7 @@ def check_lemma2(
     def magnitude(pts):
         return np.abs(cexpm1(log_tail_product_grid(tail, pts)))
 
-    sup_base, sup_fine, fine, profile = _refined_sup(magnitude, disk, threads)
+    sup_base, sup_fine, fine, profile = _refined_sup(magnitude, disk)
     C2 = constant_C2(p, params.sigma, params.rho)
     bound = 2.0 * C2 * a ** (p + 1) * R ** (-params.mu)
     r2 = threshold_r2(a, p, delta, params)
@@ -227,7 +232,6 @@ def check_lemma3(
     mu: float,
     grid: DiskGrid | None = None,
     segment_samples: int = 2048,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Disk bound |e^g - 1| <= 2*eps*A_p from segment smallness of e^g - 1.
 
@@ -247,10 +251,7 @@ def check_lemma3(
     Ap = constant_Ap(p, mu, table)
 
     def g(z):
-        acc = np.zeros_like(np.asarray(z, dtype=complex))
-        for c in reversed(coeffs):
-            acc = acc * z + c
-        return acc
+        return np.polyval(coeffs[::-1], np.asarray(z, dtype=complex))
 
     radii = _ray_nodes(r, p, segment_samples)
     seg_h = np.abs(cexpm1(g(radii.astype(complex))))
@@ -262,7 +263,7 @@ def check_lemma3(
     def magnitude(pts):
         return np.abs(cexpm1(g(pts)))
 
-    sup_base, sup_fine, fine, profile = _refined_sup(magnitude, disk, threads)
+    sup_base, sup_fine, fine, profile = _refined_sup(magnitude, disk)
     bound = 2.0 * eps * Ap
 
     # exact Cramer reconstruction from the node samples g(kr)
@@ -324,7 +325,6 @@ def check_lemma3(
 def check_decomposition(
     build: PairBuild,
     grid: DiskGrid | None = None,
-    threads: int | None = None,
 ) -> VerificationReport:
     """Pointwise identity test of the exponent-difference decomposition.
 
@@ -340,7 +340,7 @@ def check_decomposition(
     pts = disk.points()
 
     ratio_m1, keep = _ratio_minus_one(build, pts)
-    log_ratio = map_blocks(lambda z: _tail_log_ratio(build, z), pts, threads)
+    log_ratio = map_blocks(lambda z: _tail_log_ratio(build, z), pts)
     pi_ratio = np.exp(log_ratio)
     pi_m1 = cexpm1(log_ratio)
     lhs = cexpm1(_poly_delta(build, pts))
@@ -376,7 +376,6 @@ def check_decomposition(
 def check_step5_bounds(
     build: PairBuild,
     grid: DiskGrid | None = None,
-    threads: int | None = None,
     segment_samples: int = 1024,
 ) -> list[VerificationReport]:
     """The chain of intermediate bounds, one report each.
@@ -441,14 +440,14 @@ def check_step5_bounds(
     # -- tail-product ratio on the wide disk ----------------------------------
     wide = _grid_for(a * base_r, grid)
 
-    def ratio_mag(pts):
-        return np.abs(np.exp(_tail_log_ratio(build, pts)))
+    def ratio_mag_dev(pts):
+        # one evaluation of log(Pi1/Pi2) gives both |Pi1/Pi2| and |Pi1/Pi2 - 1|
+        log_ratio = _tail_log_ratio(build, pts)
+        return np.stack([np.abs(np.exp(log_ratio)), np.abs(cexpm1(log_ratio))], axis=1)
 
-    def ratio_dev(pts):
-        return np.abs(cexpm1(_tail_log_ratio(build, pts)))
-
-    mag_base, mag_fine, fine_grid, _ = _refined_sup(ratio_mag, wide, threads)
-    dev_base, dev_fine, _g, dev_profile = _refined_sup(ratio_dev, wide, threads)
+    base_vals, fine_vals, fine_grid = _on_grid_and_refinement(ratio_mag_dev, wide)
+    mag_base, mag_fine, _, _ = _sups(base_vals[:, 0], fine_vals[:, 0], fine_grid)
+    dev_base, dev_fine, _, dev_profile = _sups(base_vals[:, 1], fine_vals[:, 1], fine_grid)
     shared_pre = [
         precondition("R >= r2", R >= r2, r2, R),
         precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
@@ -491,7 +490,7 @@ def check_step5_bounds(
     def delta_mag(pts):
         return np.abs(cexpm1(_poly_delta(build, pts)))
 
-    d_base, d_fine, d_grid, d_profile = _refined_sup(delta_mag, small, threads)
+    d_base, d_fine, d_grid, d_profile = _refined_sup(delta_mag, small)
     seg_delta = float(np.max(np.abs(cexpm1(_poly_delta(build, radii_fine * direction))), initial=0.0))
     report_d = VerificationReport(
         check="exponent-difference",
@@ -528,7 +527,6 @@ def check_theorem(
     build: PairBuild,
     eps: float = 1.0,
     grid: DiskGrid | None = None,
-    threads: int | None = None,
 ) -> list[VerificationReport]:
     """Final bound sup over B(0, R^(1-delta)) of |psi2/psi1 - 1|, both forms.
 
@@ -551,7 +549,7 @@ def check_theorem(
         excluded_counts.append(int(np.sum(~keep)))
         return np.abs(vals)
 
-    sup_base, sup_fine, fine_grid, profile = _refined_sup(magnitude, disk, threads)
+    sup_base, sup_fine, fine_grid, profile = _refined_sup(magnitude, disk)
     excluded_total = sum(excluded_counts)
     converged = _converged(sup_base, sup_fine)
     meas = build.measured

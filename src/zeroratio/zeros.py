@@ -7,14 +7,14 @@ divided by 2*pi.  Locating combines counted quad subdivision with a contour
 centroid: for a circle enclosing exactly the sought zeros, the branch-tracked
 integral of log f recovers their multiplicity-weighted mean exactly, which
 for clusters converges to the cluster center and for simple and multiple
-zeros alike gives spectral-accuracy estimates that a final secant or Newton
-step polishes off.
+zeros alike gives spectral-accuracy estimates; a final secant step polishes
+simple zeros off.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -60,45 +60,24 @@ _LOG_JUMP = math.log(4.0)
 
 @dataclass
 class AnalyticFn:
-    """A complex function with optional derivative and validity radius.
+    """A complex function given by a vectorized evaluator.
 
-    The evaluator should accept a complex ndarray and return one of matching
-    shape; plain scalar callables are detected on first use and looped over
-    (slower but supported).
+    The evaluator must accept a one-dimensional complex ndarray and return
+    one of the same shape; any other shape raises EvaluationError.  Scalars
+    and arrays of any shape are flattened before the call and restored after.
     """
 
     evaluator: Callable
-    derivative: Callable | None = None
-    radius: float = math.inf
     label: str = ""
-    _vector_mode: bool | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        flat = arr.reshape(1) if scalar else arr.ravel()
-        if self._vector_mode is None:
-            self._probe(flat)
-        if self._vector_mode:
-            out = np.asarray(self.evaluator(flat), dtype=complex)
-        else:
-            out = np.array([complex(self.evaluator(complex(w))) for w in flat], dtype=complex)
-        if scalar:
-            return complex(out[0])
-        return out.reshape(arr.shape)
-
-    def _probe(self, flat: np.ndarray) -> None:
-        try:
-            probe = np.asarray(self.evaluator(flat[:2] if len(flat) >= 2 else flat), dtype=complex)
-            self._vector_mode = probe.shape == (flat[:2] if len(flat) >= 2 else flat).shape
-        except Exception:
-            self._vector_mode = False
-
-    def diff(self, z):
-        if self.derivative is None:
-            raise ParameterError("no derivative available")
-        arr = np.asarray(z, dtype=complex)
-        out = np.asarray(self.derivative(arr.reshape(-1)), dtype=complex)
+        flat = arr.reshape(1) if arr.ndim == 0 else arr.ravel()
+        out = np.asarray(self.evaluator(flat), dtype=complex)
+        if out.shape != flat.shape:
+            raise EvaluationError(
+                f"evaluator returned shape {out.shape} for input shape {flat.shape}"
+            )
         if arr.ndim == 0:
             return complex(out[0])
         return out.reshape(arr.shape)
@@ -391,21 +370,8 @@ def _polish(fn: AnalyticFn, circle_center: complex, circle_radius: float, guess:
             break
         if not placed:
             break
-    # machine-precision finish
-    if fn.derivative is not None:
-        z = w
-        for _ in range(40):
-            fz = fn(z)
-            dz = fn.diff(z)
-            if dz == 0:
-                break
-            step = mult * fz / dz
-            z = z - step
-            if abs(step) <= 1e-15 * max(1.0, abs(z)):
-                break
-        if abs(z - w) <= max(4.0 * circle_radius, 1e-6 * max(1.0, abs(w))):
-            w = z
-    elif mult == 1:
+    # machine-precision secant finish for simple zeros
+    if mult == 1:
         z0, z1 = w + max(2.0 * r, 8.0 * floor), w
         f0 = fn(z0)
         for _ in range(60):
@@ -441,7 +407,7 @@ def locate_zeros(
     Counted quad subdivision: cells whose boundary winding is zero are
     dropped, cells with several zeros are split (with jittered split lines
     when a zero rides an edge), and leaf cells are polished by the circle
-    centroid plus a secant or Newton finish.  The returned multiplicities
+    centroid plus a secant finish.  The returned multiplicities
     always sum to the disk's total winding count; anything else raises.
     """
     fn = as_analytic(f)

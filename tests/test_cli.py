@@ -81,7 +81,7 @@ def test_unwritable_output_exits_73(tmp_path):
 def test_failing_verdict_exits_1(tmp_path, monkeypatch):
     # fabricate a bound violation to confirm the exit-code contract; honest
     # runs of the shipped checks do not produce one
-    def fake(coeffs, r, mu, grid=None, segment_samples=2048, threads=None):
+    def fake(coeffs, r, mu, grid=None, segment_samples=2048):
         return VerificationReport(
             check="segment-to-disk-amplification",
             bound=1.0, observed=2.0, samples=8,
@@ -95,9 +95,50 @@ def test_failing_verdict_exits_1(tmp_path, monkeypatch):
     assert data[0]["verdict"] == "fail"
 
 
+def assert_evaluation_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "evaluation error:" in err
+    assert "Traceback" not in err
+
+
+def test_genus_below_growth_order_exits_2(capsys):
+    rc = run(["constants", "--C0", "2", "--C1", "1", "--rho", "3", "--sigma", "1",
+              "--mu", "1", "--r0", "1", "--delta", "0.6667", "--p-override", "1"])
+    assert_evaluation_error(rc, capsys)
+
+
+def test_jensen_with_zero_at_origin_exits_2(tmp_path, capsys):
+    kpath = kernel_file(tmp_path, Kernel.piecewise([0.0, 1.0], [[-1.0]]))
+    rc = run(["jensen", "--kernel", kpath, "--radius", "2"])
+    assert_evaluation_error(rc, capsys)
+
+
+@pytest.mark.parametrize("coeffs", ["nan,1", "1e300,1e300"])
+def test_non_finite_report_exits_2(coeffs, capsys):
+    with np.errstate(all="ignore"):
+        rc = run(["verify", "lemma3", "--coeffs", coeffs, "--grid", "12x32"])
+    assert_evaluation_error(rc, capsys)
+
+
+def test_non_finite_transform_value_exits_2(tmp_path, capsys):
+    with np.errstate(all="ignore"):
+        rc = run(["jost", "--kernel", kernel_file(tmp_path), "--eval", "1e6,-1e6"])
+    assert_evaluation_error(rc, capsys)
+
+
 # ---------------------------------------------------------------------------
 # verify output formats
 # ---------------------------------------------------------------------------
+
+
+def test_threads_flag_is_ignored(capsys):
+    outputs = []
+    for extra in (["--threads", "1"], ["--threads", "2"], []):
+        assert run(["verify", "theorem", "--seed", "0"] + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0].startswith("[")
 
 
 def test_verify_decomposition_deterministic_bytes(tmp_path):

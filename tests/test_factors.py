@@ -16,18 +16,23 @@ from zeroratio.factors import (
     TailProductSpec,
     ZeroSet,
     cexpm1,
-    exp_minus_one_bound_check,
     guard_radius,
-    log_primary_factor,
     log_primary_factor_full,
     log_primary_factor_grid,
-    log_tail_product,
     log_tail_product_grid,
-    primary_factor,
     primary_factor_grid,
     tail_power_sum,
-    tail_product,
 )
+
+
+def tail_product_at(spec, z):
+    """The tail product at one point, through the vectorized log sum."""
+    return complex(np.exp(log_tail_product_grid(spec, np.array([z], dtype=complex)))[0])
+
+
+def primary_factor_at(xi, p):
+    """E_p(xi) at one point, through the explicit grid form."""
+    return complex(primary_factor_grid(np.array([xi], dtype=complex), 1.0, p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -37,22 +42,22 @@ from zeroratio.factors import (
 
 def test_primary_factor_at_zero_is_one():
     for p in (1, 2, 3, 7):
-        assert primary_factor(0.0, p) == 1.0 + 0.0j
+        assert primary_factor_at(0.0, p) == 1.0 + 0.0j
 
 
 def test_primary_factor_vanishes_at_one():
-    assert primary_factor(1.0, 1) == pytest.approx(0.0, abs=1e-15)
+    assert primary_factor_at(1.0, 1) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_primary_factor_spot_value():
     # E_1(0.5) = (1 - 0.5) * exp(0.5)
-    assert primary_factor(0.5, 1) == pytest.approx(0.5 * math.exp(0.5), rel=1e-15)
+    assert primary_factor_at(0.5, 1) == pytest.approx(0.5 * math.exp(0.5), rel=1e-15)
 
 
 def test_log_primary_factor_spot_value():
     # ln E_2(0.5) = ln(0.5) + 0.5 + 0.125
     expected = math.log(0.5) + 0.5 + 0.125
-    got = log_primary_factor(0.5, 2)
+    got = complex(log_primary_factor_grid(np.array([0.5 + 0j]), 2)[0])
     assert got.real == pytest.approx(expected, rel=1e-13)
     assert got.imag == pytest.approx(0.0, abs=1e-15)
     assert abs(got) <= 0.5**3
@@ -67,7 +72,7 @@ def test_log_bound_holds_just_past_guard():
 
 def test_log_primary_factor_rejects_outside_guard():
     with pytest.raises(DomainError):
-        log_primary_factor(0.9, 1)
+        log_primary_factor_grid(np.array([0.9 + 0j]), 1)
     with pytest.raises(DomainError):
         log_primary_factor_grid(np.array([0.1, 0.95 + 0j]), 1)
 
@@ -77,19 +82,24 @@ def test_guard_radius_values():
     assert guard_radius(3) == pytest.approx(0.75)
 
 
-def test_log_primary_factor_against_mpmath():
-    """Independent series evaluation at 40 digits."""
+def test_log_primary_factor_grid_and_full_against_mpmath():
+    """Both vectorized routes against log(1 - xi) + partial sum at 40 digits.
+
+    Draws are uniform in modulus over (0.05, guard radius), so they cover the
+    series branch below the split radius and the explicit branch above it.
+    """
     mpmath.mp.dps = 40
     rng = np.random.default_rng(4)
-    for p in (1, 2, 5):
-        for _ in range(25):
-            r = rng.uniform(0.05, guard_radius(p) * 0.999)
-            theta = rng.uniform(0, 2 * math.pi)
-            xi = complex(r * math.cos(theta), r * math.sin(theta))
-            xim = mpmath.mpc(xi.real, xi.imag)
-            oracle = mpmath.log(1 - xim) + sum(xim**k / k for k in range(1, p + 1))
-            mine = log_primary_factor(xi, p)
-            assert abs(mine - complex(oracle)) <= 1e-14 * max(abs(mine), 1e-30)
+    for p in (1, 2, 3, 5, 8, 12):
+        r = rng.uniform(0.05, guard_radius(p) * 0.999, 100)
+        xi = r * np.exp(1j * rng.uniform(0, 2 * math.pi, 100))
+        oracle = []
+        for x in xi:
+            xm = mpmath.mpc(x.real, x.imag)
+            oracle.append(complex(mpmath.log(1 - xm) + sum(xm**k / k for k in range(1, p + 1))))
+        oracle = np.array(oracle)
+        for mine in (log_primary_factor_grid(xi, p), log_primary_factor_full(xi, p)):
+            assert np.all(np.abs(mine - oracle) <= 1e-13 * np.abs(oracle))
 
 
 # ---------------------------------------------------------------------------
@@ -144,17 +154,14 @@ def test_full_plane_log_is_minus_inf_at_zero_location():
     assert logs[0].real == -math.inf
 
 
-def test_scalar_and_vector_paths_agree():
-    pts = np.array([0.1 + 0.2j, -0.3j, 0.45])
-    for p in (1, 2):
-        vec = log_primary_factor_grid(pts, p)
-        for i, xi in enumerate(pts):
-            assert log_primary_factor(complex(xi), p) == pytest.approx(vec[i], rel=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # exp(w) - 1
 # ---------------------------------------------------------------------------
+
+
+def exp_minus_one_bound_check(w):
+    """(|e^w - 1|, |w| e^|w|); the first never exceeds the second."""
+    return abs(cexpm1(w)), abs(w) * math.exp(abs(w))
 
 
 def test_exp_minus_one_bound_spot_values():
@@ -223,14 +230,14 @@ def test_zeroset_restrict_merge_count():
 
 def test_tail_product_empty_set_is_one():
     spec = TailProductSpec(zeros=ZeroSet.from_points([]), genus=1, cutoff=2.0)
-    assert tail_product(spec, 0.5 + 0.5j) == 1.0 + 0.0j
+    assert tail_product_at(spec, 0.5 + 0.5j) == 1.0 + 0.0j
 
 
 def test_tail_product_single_zero_spot_value():
     spec = TailProductSpec(zeros=ZeroSet.from_points([10.0]), genus=1, cutoff=10.0)
     expected = 0.9 * math.exp(0.1)
-    assert tail_product(spec, 1.0) == pytest.approx(expected, rel=1e-14)
-    assert tail_product(spec, 0.0) == 1.0 + 0.0j
+    assert tail_product_at(spec, 1.0) == pytest.approx(expected, rel=1e-14)
+    assert tail_product_at(spec, 0.0) == 1.0 + 0.0j
 
 
 def test_tail_power_sum_hand_value():
@@ -257,9 +264,9 @@ def test_tail_product_log_additivity():
     s1 = ZeroSet.from_points(locs1)
     s2 = ZeroSet.from_points(locs2)
     z = 3.0 - 2.0j
-    p1 = tail_product(TailProductSpec(s1, 2, 20.0), z)
-    p2 = tail_product(TailProductSpec(s2, 2, 20.0), z)
-    both = tail_product(TailProductSpec(s1.merged_with(s2), 2, 20.0), z)
+    p1 = tail_product_at(TailProductSpec(s1, 2, 20.0), z)
+    p2 = tail_product_at(TailProductSpec(s2, 2, 20.0), z)
+    both = tail_product_at(TailProductSpec(s1.merged_with(s2), 2, 20.0), z)
     assert both == pytest.approx(p1 * p2, rel=1e-12)
 
 
@@ -270,34 +277,41 @@ def test_tail_product_scale_covariance():
     locs = 30.0 * rng.uniform(1.0, 2.5, 10) * np.exp(1j * rng.uniform(0, 2 * math.pi, 10))
     lam = 2.0
     z = 4.0 + 1.0j
-    base = tail_product(TailProductSpec(ZeroSet.from_points(locs), 2, 30.0), z)
-    scaled = tail_product(
+    base = tail_product_at(TailProductSpec(ZeroSet.from_points(locs), 2, 30.0), z)
+    scaled = tail_product_at(
         TailProductSpec(ZeroSet.from_points(lam * locs), 2, lam * 30.0), lam * z
     )
     assert scaled == pytest.approx(base, rel=1e-13)
 
 
 def test_tail_product_grid_matches_pointwise():
+    """The grid tail product against a 40-digit mpmath product at each point."""
+    mpmath.mp.dps = 40
     rng = np.random.default_rng(23)
     locs = 25.0 * rng.uniform(1.0, 2.0, 12) * np.exp(1j * rng.uniform(0, 2 * math.pi, 12))
     spec = TailProductSpec(ZeroSet.from_points(locs), 2, 25.0)
     pts = 3.0 * rng.uniform(0.1, 1.0, 40) * np.exp(1j * rng.uniform(0, 2 * math.pi, 40))
-    grid_vals = log_tail_product_grid(spec, pts)
+    grid_vals = np.exp(log_tail_product_grid(spec, pts))
     for i, z in enumerate(pts):
-        assert log_tail_product(spec, complex(z)) == pytest.approx(grid_vals[i], rel=1e-13)
+        zm = mpmath.mpc(z.real, z.imag)
+        oracle = mpmath.mpf(1)
+        for loc, _ in spec.zeros:
+            xi = zm / mpmath.mpc(loc.real, loc.imag)
+            oracle *= (1 - xi) * mpmath.exp(xi + xi**2 / 2)
+        assert grid_vals[i] == pytest.approx(complex(oracle), rel=1e-13)
 
 
 def test_tail_product_respects_multiplicity():
     z = 2.0 + 1.0j
     single = TailProductSpec(ZeroSet.from_points([40.0], [2]), 1, 40.0)
     double = TailProductSpec(ZeroSet.from_points([40.0, 40.0]), 1, 40.0)
-    assert tail_product(single, z) == pytest.approx(tail_product(double, z), rel=1e-15)
+    assert tail_product_at(single, z) == pytest.approx(tail_product_at(double, z), rel=1e-15)
 
 
 def test_tail_product_guard_violation_raises():
     spec = TailProductSpec(ZeroSet.from_points([10.0]), 1, 10.0)
     with pytest.raises(DomainError):
-        log_tail_product(spec, 9.0)  # ratio 0.9 > 1/2 guard for genus 1
+        log_tail_product_grid(spec, np.array([9.0 + 0j]))  # ratio 0.9 > 1/2 guard for genus 1
 
 
 def test_large_set_block_evaluation_consistency():

@@ -54,6 +54,22 @@ def test_series_and_pieces_agree_in_overlap():
             assert abs(lo - complex(oracle)) <= 1e-13
 
 
+def test_piecewise_value_equals_horner_loop_bitwise():
+    """Kernel.value keeps the arithmetic of the plain per-piece Horner loop."""
+    kernel = Kernel.piecewise([0.0, 0.5, 1.0, 2.0],
+                              [[1.0, -0.5, 0.25], [0.875, 0.3], [1.0, -0.2, 0.01, -0.05]])
+    t = np.linspace(-0.5, 2.5, 301)
+    expected = np.zeros_like(t)
+    for i, row in enumerate(kernel.coeffs):
+        a, b = kernel.knots[i], kernel.knots[i + 1]
+        mask = (t >= a) & ((t < b) if i < len(kernel.coeffs) - 1 else (t <= b))
+        acc = np.zeros(int(mask.sum()))
+        for c in reversed(row):
+            acc = acc * t[mask] + c
+        expected[mask] = acc
+    assert np.array_equal(kernel.value(t), expected)
+
+
 def test_moments_of_polynomial_kernel():
     # K(t) = t on [0, 2]: first moment is 8/3
     kernel = Kernel.piecewise([0.0, 2.0], [[0.0, 1.0]])

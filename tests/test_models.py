@@ -59,6 +59,19 @@ def test_model_matches_factor_oracle():
     assert model(pts[1]) == pytest.approx(complex(got[1]))
 
 
+def test_poly_value_equals_horner_loop_bitwise():
+    """poly_value keeps the arithmetic of the plain Horner loop exactly."""
+    rng = np.random.default_rng(5)
+    z = 40.0 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+    for degree in range(-1, 6):
+        poly = tuple(complex(*rng.normal(size=2)) for _ in range(degree + 1))
+        model = EntireModel(genus=5, zeros=ZeroSet.from_points([]), poly=poly)
+        acc = np.zeros_like(z)
+        for c in reversed(poly):
+            acc = acc * z + c
+        assert np.array_equal(model.poly_value(z), acc)
+
+
 def test_model_vanishes_exactly_at_zeros_and_origin():
     zeros = ZeroSet.from_points([2.0 + 0.0j])
     model = EntireModel(genus=1, zeros=zeros, origin_order=2)

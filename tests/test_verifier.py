@@ -17,7 +17,6 @@ from zeroratio.verifier import (
     check_step5_bounds,
     check_theorem,
     default_disk_grid,
-    map_blocks,
 )
 from zeroratio.grids import DiskGrid
 
@@ -31,18 +30,6 @@ _PARAMS = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=0.08, mu=1.0, r0=1.0)
 # ---------------------------------------------------------------------------
 # infrastructure
 # ---------------------------------------------------------------------------
-
-
-def test_map_blocks_is_thread_count_invariant():
-    rng = np.random.default_rng(17)
-    pts = rng.normal(size=20000) + 1j * rng.normal(size=20000)
-
-    def f(z):
-        return z * z + 0.25
-
-    one = map_blocks(f, pts, threads=1)
-    four = map_blocks(f, pts, threads=4)
-    assert np.array_equal(one, four)
 
 
 def test_default_disk_grid_is_deterministic():

@@ -11,6 +11,7 @@ from zeroratio.models import EntireModel
 from zeroratio.report import PASS, PASS_UNMET
 from zeroratio.zeros import (
     AnalyticFn,
+    EvaluationError,
     count_bound_check,
     count_zeros,
     jensen_check,
@@ -30,6 +31,12 @@ def poly_fn(*roots):
         return out
 
     return AnalyticFn(evaluator=evaluate, label="poly")
+
+
+def test_scalar_evaluator_raises_evaluation_error():
+    fn = AnalyticFn(evaluator=lambda z: complex(np.sum(z)))
+    with pytest.raises(EvaluationError, match=r"shape \(\) for input shape \(3,\)"):
+        fn(np.array([1.0, 2.0, 3.0]))
 
 
 # ---------------------------------------------------------------------------
