@@ -38,7 +38,7 @@ from .factors import (
     primary_factor_grid,
     tail_power_sum,
 )
-from .grids import DiskGrid, parse_grid_shape, segment_points
+from .grids import DiskGrid, parse_disk_grid, segment_points
 from .jost import (
     DivergenceError,
     GrowthFit,

@@ -32,7 +32,7 @@ from .constants import (
     vandermonde_cofactors,
 )
 from .factors import DomainError, ZeroSet
-from .grids import DiskGrid, parse_grid_shape
+from .grids import parse_disk_grid
 from .jost import (
     DivergenceError,
     JostFn,
@@ -175,13 +175,6 @@ def _plot_data_csv(reports: list[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _grid_from(args) -> DiskGrid | None:
-    rings, spokes = args.grid if args.grid is not None else (64, 256)
-    return DiskGrid(
-        center=0j, radius=1.0, rings=rings, spokes=spokes, interior=1000, seed=args.seed
-    )
-
-
 def _class_params(args) -> ClassParams:
     return ClassParams(
         C0=args.C0, C1=args.C1, rho=args.rho, sigma=args.sigma, mu=args.mu, r0=args.r0
@@ -289,7 +282,6 @@ def _cmd_jost(args) -> int:
 
 
 def _verify_lemma2(args) -> list[VerificationReport]:
-    grid = _grid_from(args)
     if args.zeros is not None:
         params = _class_params(args)
         if args.R is None:
@@ -301,14 +293,14 @@ def _verify_lemma2(args) -> list[VerificationReport]:
         a = args.a if args.a is not None else float(p + 1)
         zeros = ZeroSet.from_csv(args.zeros)
         return [
-            check_lemma2(zeros, args.R, a, p, delta, params, grid=grid)
+            check_lemma2(zeros, args.R, a, p, delta, params, grid=args.grid)
         ]
     build = _load_build(args)
     spec = build.spec
     a = args.a if args.a is not None else float(build.p + 1)
     return [
         check_lemma2(
-            side, spec.R, a, build.p, spec.delta, spec.params, grid=grid
+            side, spec.R, a, build.p, spec.delta, spec.params, grid=args.grid
         )
         for side in (spec.outer_a, spec.outer_b)
     ]
@@ -339,11 +331,7 @@ def _verify_lemma3(args) -> list[VerificationReport]:
         coeffs = tuple(shape * (target / proxy))
     else:
         raise _UsageError("verify lemma3 needs --coeffs LIST or --poly-seed N")
-    return [
-        check_lemma3(
-            coeffs, args.r, args.mu, grid=_grid_from(args)
-        )
-    ]
+    return [check_lemma3(coeffs, args.r, args.mu, grid=args.grid)]
 
 
 def _cmd_verify(args) -> int:
@@ -354,13 +342,12 @@ def _cmd_verify(args) -> int:
         reports = _verify_lemma3(args)
     else:
         build = _load_build(args)
-        grid = _grid_from(args)
         if kind == "decomposition":
-            reports = [check_decomposition(build, grid=grid)]
+            reports = [check_decomposition(build, grid=args.grid)]
         elif kind == "step5":
-            reports = check_step5_bounds(build, grid=grid)
+            reports = check_step5_bounds(build, grid=args.grid)
         elif kind == "theorem":
-            reports = check_theorem(build, eps=args.eps, grid=grid)
+            reports = check_theorem(build, eps=args.eps, grid=args.grid)
         elif kind == "remark5":
             reports = [check_remark5(build, eps=args.eps)]
         else:  # pragma: no cover - argparse restricts choices
@@ -455,7 +442,8 @@ def build_parser() -> _Parser:
     common.add_argument("--R", type=float, default=None)
     common.add_argument("--delta", type=float, default=None)
     common.add_argument("--eps", type=float, default=1.0)
-    common.add_argument("--grid", type=parse_grid_shape, default=None, metavar="NRxNT")
+    common.add_argument("--grid", type=parse_disk_grid, default=None, metavar="NRxNT",
+                        help="rings x boundary samples of the disk grid")
     common.add_argument("--pair", default=None, help="pair JSON file")
     common.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
     common.add_argument("--seed", type=int, default=0)

@@ -1,9 +1,9 @@
 """Deterministic sampling grids for sup-norm estimation on disks and segments.
 
-A disk grid combines polar rings (whose outermost ring lies exactly on the
-boundary circle, where the checked bounds are tightest) with a seeded
-low-discrepancy interior fill, so a doubling refinement both tightens the
-rings and re-scatters the interior.
+Every disk supremum the verifier checks is of a function holomorphic on the
+closed disk, so by the maximum modulus principle it is attained on the
+boundary circle.  A disk grid is a polar lattice whose outer ring lies on that
+circle; its inner rings serve the identity check and the per-ring profile.
 """
 
 from __future__ import annotations
@@ -16,108 +16,30 @@ import numpy as np
 from .constants import ParameterError
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput radical inverse of integer indices in the given base."""
-    result = np.zeros(indices.shape, dtype=float)
-    denom = 1.0
-    work = indices.copy()
-    while np.any(work > 0):
-        denom *= base
-        result += (work % base) / denom
-        work //= base
-    return result
-
-
-def halton_pairs(count: int, seed: int = 0) -> np.ndarray:
-    """`count` low-discrepancy points in the unit square, seeded by a shift.
-
-    Bases 2 and 3 with a Cranley-Patterson rotation derived from the seed;
-    identical (count, seed) always reproduces identical points.
-    """
-    if count < 0:
-        raise ParameterError("count must be nonnegative")
-    idx = np.arange(1, count + 1, dtype=np.int64)
-    u = _radical_inverse(idx, 2)
-    v = _radical_inverse(idx, 3)
-    rng = np.random.default_rng(seed)
-    shift = rng.random(2)
-    return np.stack([(u + shift[0]) % 1.0, (v + shift[1]) % 1.0], axis=1)
-
-
 @dataclass(frozen=True)
 class DiskGrid:
-    """Sample points of the closed disk |z - center| <= radius.
+    """rings x spokes polar lattice of a closed disk about the origin.
 
-    rings x spokes polar points (outer ring on the boundary), plus `interior`
-    seeded low-discrepancy points distributed uniformly by area.
+    Ring k (k = 1..rings) has radius k/rings of the disk's, so the outer ring
+    samples the boundary circle at `spokes` equally spaced angles.
     """
 
-    center: complex
-    radius: float
     rings: int
     spokes: int
-    interior: int
-    seed: int = 0
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ParameterError("radius must be positive")
         if self.rings < 1 or self.spokes < 4:
             raise ParameterError("need at least 1 ring and 4 spokes")
-        if self.interior < 0:
-            raise ParameterError("interior count must be nonnegative")
 
-    def ring_radii(self) -> np.ndarray:
-        return self.radius * np.arange(1, self.rings + 1) / self.rings
+    def ring_radii(self, radius: float) -> np.ndarray:
+        if not radius > 0:
+            raise ParameterError("radius must be positive")
+        return radius * np.arange(1, self.rings + 1) / self.rings
 
-    def points(self) -> np.ndarray:
-        """All sample points, rings first (ring-major), then interior fill."""
-        radii = self.ring_radii()
+    def points(self, radius: float) -> np.ndarray:
+        """The lattice scaled to B(0, radius), ring-major, outer ring last."""
         angles = 2.0 * math.pi * np.arange(self.spokes) / self.spokes
-        ring_pts = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
-        if self.interior:
-            uv = halton_pairs(self.interior, self.seed)
-            r = self.radius * np.sqrt(uv[:, 0])
-            theta = 2.0 * math.pi * uv[:, 1]
-            fill = r * np.exp(1j * theta)
-            pts = np.concatenate([ring_pts, fill])
-        else:
-            pts = ring_pts
-        return pts + self.center
-
-    @property
-    def size(self) -> int:
-        return self.rings * self.spokes + self.interior
-
-    def refined(self) -> "DiskGrid":
-        """Grid with doubled rings, spokes and interior fill (fresh scatter)."""
-        return DiskGrid(
-            center=self.center,
-            radius=self.radius,
-            rings=self.rings * 2,
-            spokes=self.spokes * 2,
-            interior=self.interior * 2,
-            seed=self.seed + 1,
-        )
-
-    def scaled(self, radius: float) -> "DiskGrid":
-        return DiskGrid(
-            center=self.center,
-            radius=radius,
-            rings=self.rings,
-            spokes=self.spokes,
-            interior=self.interior,
-            seed=self.seed,
-        )
-
-    def ring_profile(self, values: np.ndarray) -> list[tuple[float, float]]:
-        """Per-ring maxima of `values` (aligned with points()), for plot data."""
-        radii = self.ring_radii()
-        out = []
-        ring_vals = values[: self.rings * self.spokes].reshape(self.rings, self.spokes)
-        for i, r in enumerate(radii):
-            out.append((float(r), float(ring_vals[i].max())))
-        return out
+        return (self.ring_radii(radius)[:, None] * np.exp(1j * angles)[None, :]).ravel()
 
 
 def segment_points(start: complex, end: complex, count: int, include: np.ndarray | None = None) -> np.ndarray:
@@ -140,13 +62,11 @@ def segment_points(start: complex, end: complex, count: int, include: np.ndarray
     return pts
 
 
-def parse_grid_shape(text: str) -> tuple[int, int]:
-    """Parse 'NRxNT' into (rings, spokes)."""
+def parse_disk_grid(text: str) -> DiskGrid:
+    """Parse 'NRxNT' into DiskGrid(rings=NR, spokes=NT)."""
     parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise ParameterError(f"grid shape must look like '32x96', got {text!r}")
     try:
-        rings, spokes = int(parts[0]), int(parts[1])
+        rings, spokes = (int(part) for part in parts)
     except ValueError as exc:
         raise ParameterError(f"grid shape must look like '32x96', got {text!r}") from exc
-    return rings, spokes
+    return DiskGrid(rings, spokes)

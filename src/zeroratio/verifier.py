@@ -3,9 +3,13 @@
 Each check_* function samples one inequality of the proof on a grid or
 segment, measures its preconditions instead of assuming them, and returns a
 VerificationReport whose verdict can only be "fail" when every measured
-precondition actually held.  Sampled suprema are taken twice, on the base
-grid and on a refinement with doubled resolution, and the report carries a
-grid-convergence precondition requiring the two to agree within 1%.
+precondition actually held.
+
+Every disk supremum is of a function holomorphic on the closed disk, so by
+the maximum modulus principle it lies on the boundary circle.  It is sampled
+twice: on the polar lattice of the grid, whose outer ring is that circle at N
+points, and on the circle alone at 2N points.  The report carries a
+grid-convergence precondition requiring the two maxima to agree within 1%.
 """
 
 from __future__ import annotations
@@ -62,51 +66,36 @@ def map_blocks(
     )
 
 
-def default_disk_grid(radius: float, seed: int = 0, rings: int = 64, spokes: int = 256, interior: int = 1000) -> DiskGrid:
-    return DiskGrid(center=0j, radius=radius, rings=rings, spokes=spokes, interior=interior, seed=seed)
+def default_disk_grid(rings: int = 8, spokes: int = 256) -> DiskGrid:
+    return DiskGrid(rings, spokes)
 
 
-def _grid_for(radius: float, grid: DiskGrid | None, seed: int = 0) -> DiskGrid:
-    if grid is None:
-        return default_disk_grid(radius, seed=seed)
-    if abs(grid.radius - radius) <= 1e-12 * max(radius, 1.0):
-        return grid
-    return grid.scaled(radius)
-
-
-def _on_grid_and_refinement(
+def _sampled_sups(
     evaluate: Callable[[np.ndarray], np.ndarray],
-    grid: DiskGrid,
-) -> tuple[np.ndarray, np.ndarray, DiskGrid]:
-    """Values on the grid and on its doubled refinement, plus that refinement."""
-    base_vals = map_blocks(evaluate, grid.points())
-    fine = grid.refined()
-    return base_vals, map_blocks(evaluate, fine.points()), fine
+    radius: float,
+    grid: DiskGrid | None,
+) -> tuple:
+    """Sampled sup over B(0, radius) of magnitudes of holomorphic functions.
 
+    `evaluate` maps points to magnitudes, one per point or one row of several
+    per point.  The base pass evaluates the grid's polar lattice; the
+    refinement evaluates the boundary circle alone at twice the grid's spokes,
+    since by the maximum modulus principle no interior point can exceed it.
 
-def _sups(
-    base_vals: np.ndarray,
-    fine_vals: np.ndarray,
-    fine: DiskGrid,
-) -> tuple[float, float, DiskGrid, list[tuple[float, float]]]:
-    """(sup_base, sup_refined, refined_grid, profile) of sampled magnitudes.
-
-    The profile pairs each refined ring radius with the ring's own maximum.
+    Returns (sup_base, sup_refined, profile, samples): the two maxima (floats,
+    or lists with one entry per column), the (ring radius, ring maximum)
+    pairs of the base pass, and the number of points evaluated.
     """
+    grid = grid or default_disk_grid()
+    base = map_blocks(evaluate, grid.points(radius))
+    circle = map_blocks(evaluate, DiskGrid(1, 2 * grid.spokes).points(radius))
+    ring_max = base.reshape(grid.rings, grid.spokes, *base.shape[1:]).max(axis=1)
     return (
-        float(np.max(base_vals, initial=0.0)),
-        float(np.max(fine_vals, initial=0.0)),
-        fine,
-        fine.ring_profile(fine_vals),
+        np.max(base, axis=0, initial=0.0).tolist(),
+        np.max(circle, axis=0, initial=0.0).tolist(),
+        list(zip(grid.ring_radii(radius).tolist(), ring_max.tolist())),
+        len(base) + len(circle),
     )
-
-
-def _refined_sup(
-    magnitude: Callable[[np.ndarray], np.ndarray],
-    grid: DiskGrid,
-) -> tuple[float, float, DiskGrid, list[tuple[float, float]]]:
-    """Sampled sup on the grid and its doubled refinement, plus ring profile."""
-    return _sups(*_on_grid_and_refinement(magnitude, grid))
 
 
 def _converged(sup_base: float, sup_fine: float) -> Precondition:
@@ -186,13 +175,12 @@ def check_lemma2(
             f"tail zero at modulus {zeros.min_modulus():.6g} lies inside R = {R:.6g}"
         )
     radius = a * R ** (1.0 - delta)
-    disk = _grid_for(radius, grid)
     tail = TailProductSpec(zeros=zeros, genus=p, cutoff=R)
 
     def magnitude(pts):
         return np.abs(cexpm1(log_tail_product_grid(tail, pts)))
 
-    sup_base, sup_fine, fine, profile = _refined_sup(magnitude, disk)
+    sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, radius, grid)
     C2 = constant_C2(p, params.sigma, params.rho)
     bound = 2.0 * C2 * a ** (p + 1) * R ** (-params.mu)
     r2 = threshold_r2(a, p, delta, params)
@@ -200,7 +188,7 @@ def check_lemma2(
         check="tail-product-smallness",
         bound=bound,
         observed=sup_fine,
-        samples=fine.size,
+        samples=samples,
         preconditions=[
             precondition("R >= r2", R >= r2, r2, R),
             _compliance_precondition("zero counts within class rate", zeros, params),
@@ -258,12 +246,10 @@ def check_lemma3(
     C1_meas = float(np.max(seg_h * radii**mu))
     eps = C1_meas * r**-mu
 
-    disk = _grid_for(r, grid)
-
     def magnitude(pts):
         return np.abs(cexpm1(g(pts)))
 
-    sup_base, sup_fine, fine, profile = _refined_sup(magnitude, disk)
+    sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, r, grid)
     bound = 2.0 * eps * Ap
 
     # exact Cramer reconstruction from the node samples g(kr)
@@ -294,7 +280,7 @@ def check_lemma3(
         check="segment-to-disk-amplification",
         bound=bound,
         observed=sup_fine,
-        samples=fine.size + len(radii),
+        samples=samples + len(radii),
         preconditions=[
             precondition("eps <= 1/2", eps <= 0.5, 0.5, eps),
             precondition("eps*Ap <= 1/4", eps * Ap <= 0.25, 0.25, eps * Ap),
@@ -331,13 +317,14 @@ def check_decomposition(
     e^(g2-g1) - 1 must equal (psi2/psi1 - 1)*Pi1/Pi2 + (Pi1/Pi2 - 1) exactly;
     the check evaluates both sides independently (full products on the left
     path, honest division on the right) and reports the largest discrepancy
-    against a 1e-10 floor scaled by the magnitudes involved.  Near-zero
-    denominators are excluded with the count reported.
+    against a 1e-10 floor scaled by the magnitudes involved.  An identity
+    holds inside the disk as much as on its boundary, so the samples are the
+    whole polar lattice of the grid.  Near-zero denominators are excluded
+    with the count reported.
     """
     spec = build.spec
     radius = (build.p + 1) * spec.R ** (1.0 - spec.delta)
-    disk = _grid_for(radius, grid)
-    pts = disk.points()
+    pts = (grid or default_disk_grid()).points(radius)
 
     ratio_m1, keep = _ratio_minus_one(build, pts)
     log_ratio = map_blocks(lambda z: _tail_log_ratio(build, z), pts)
@@ -417,10 +404,11 @@ def check_step5_bounds(
     env2 = _segment_envelope(build.psi2, spec.ray_angle, radii_fine, params.mu)
 
     def seg_sup(rr):
+        """(sup, masked point count) of |psi2/psi1 - 1| on the ray radii."""
         vals, keep = _ratio_minus_one(build, rr * direction)
-        return float(np.max(np.abs(vals[keep]), initial=0.0))
+        return float(np.max(np.abs(vals[keep]), initial=0.0)), int(np.sum(~keep))
 
-    seg_base, seg_fine = seg_sup(radii), seg_sup(radii_fine)
+    (seg_base, excluded_base), (seg_fine, excluded_fine) = seg_sup(radii), seg_sup(radii_fine)
     report_b = VerificationReport(
         check="ray-ratio-smallness",
         bound=(2.0 + 3.0 * eta) * eta,
@@ -434,20 +422,17 @@ def check_step5_bounds(
             _converged(seg_base, seg_fine),
         ],
         details={"eta": eta, "segment": [base_r, (p + 1) * base_r],
-                 "ray_angle": spec.ray_angle},
+                 "ray_angle": spec.ray_angle, "excluded_points": excluded_base + excluded_fine},
     )
 
     # -- tail-product ratio on the wide disk ----------------------------------
-    wide = _grid_for(a * base_r, grid)
-
     def ratio_mag_dev(pts):
         # one evaluation of log(Pi1/Pi2) gives both |Pi1/Pi2| and |Pi1/Pi2 - 1|
         log_ratio = _tail_log_ratio(build, pts)
         return np.stack([np.abs(np.exp(log_ratio)), np.abs(cexpm1(log_ratio))], axis=1)
 
-    base_vals, fine_vals, fine_grid = _on_grid_and_refinement(ratio_mag_dev, wide)
-    mag_base, mag_fine, _, _ = _sups(base_vals[:, 0], fine_vals[:, 0], fine_grid)
-    dev_base, dev_fine, _, dev_profile = _sups(base_vals[:, 1], fine_vals[:, 1], fine_grid)
+    (mag_base, dev_base), (mag_fine, dev_fine), wide_profile, wide_samples = _sampled_sups(
+        ratio_mag_dev, a * base_r, grid)
     shared_pre = [
         precondition("R >= r2", R >= r2, r2, R),
         precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
@@ -458,7 +443,7 @@ def check_step5_bounds(
         check="tail-ratio-magnitude",
         bound=1.0 + 3.0 * eta2,
         observed=mag_fine,
-        samples=fine_grid.size,
+        samples=wide_samples,
         preconditions=shared_pre + [_converged(mag_base, mag_fine)],
         details={"eta2": eta2, "disk_radius": a * base_r, "C3": C3},
     )
@@ -466,12 +451,12 @@ def check_step5_bounds(
         check="tail-ratio-deviation",
         bound=3.0 * eta2,
         observed=dev_fine,
-        samples=fine_grid.size,
+        samples=wide_samples,
         preconditions=shared_pre + [_converged(dev_base, dev_fine)],
         details={
             "eta2": eta2,
             "disk_radius": a * base_r,
-            "profile": [(rr, 3.0 * eta2, v) for rr, v in dev_profile],
+            "profile": [(rr, 3.0 * eta2, dev) for rr, (_mag, dev) in wide_profile],
         },
     )
 
@@ -485,18 +470,16 @@ def check_step5_bounds(
     )
 
     # -- exponent difference on the small disk --------------------------------
-    small = _grid_for(base_r, grid)
-
     def delta_mag(pts):
         return np.abs(cexpm1(_poly_delta(build, pts)))
 
-    d_base, d_fine, d_grid, d_profile = _refined_sup(delta_mag, small)
+    d_base, d_fine, d_profile, d_samples = _sampled_sups(delta_mag, base_r, grid)
     seg_delta = float(np.max(np.abs(cexpm1(_poly_delta(build, radii_fine * direction))), initial=0.0))
     report_d = VerificationReport(
         check="exponent-difference",
         bound=18.0 * Ap * eta,
         observed=d_fine,
-        samples=d_grid.size,
+        samples=d_samples,
         preconditions=[
             precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
             precondition("9*Ap*eta <= 1/4", 9.0 * Ap * eta <= 0.25, 0.25, 9.0 * Ap * eta),
@@ -540,7 +523,6 @@ def check_theorem(
     R, delta = spec.R, spec.delta
     derived = derive_constants(params, delta, eps=eps, p_override=build.p)
     radius = R ** (1.0 - delta)
-    disk = _grid_for(radius, grid)
 
     excluded_counts: list[int] = []
 
@@ -549,7 +531,7 @@ def check_theorem(
         excluded_counts.append(int(np.sum(~keep)))
         return np.abs(vals)
 
-    sup_base, sup_fine, fine_grid, profile = _refined_sup(magnitude, disk)
+    sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, radius, grid)
     excluded_total = sum(excluded_counts)
     converged = _converged(sup_base, sup_fine)
     meas = build.measured
@@ -583,7 +565,7 @@ def check_theorem(
         check="ratio-bound-constant-form",
         bound=constant_bound,
         observed=sup_fine,
-        samples=fine_grid.size,
+        samples=samples,
         preconditions=[
             precondition("R >= max(r1..r5)", R >= derived.max_small_radius,
                          derived.max_small_radius, R),
@@ -596,7 +578,7 @@ def check_theorem(
         check="ratio-bound-accuracy-form",
         bound=eps_bound,
         observed=sup_fine,
-        samples=fine_grid.size,
+        samples=samples,
         preconditions=[
             precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R),
             converged,

@@ -216,7 +216,7 @@ def test_acceptance_05_count_bound_for_unit_kernel():
 def test_acceptance_06_tail_product_corpus():
     start = time.perf_counter()
     rng = np.random.default_rng(161803)
-    grid = DiskGrid(center=0j, radius=1.0, rings=12, spokes=32, interior=128, seed=7)
+    grid = DiskGrid(rings=12, spokes=32)
     margins = []
     violations = 0
     for i in range(200):
@@ -244,7 +244,7 @@ def test_acceptance_06_tail_product_corpus():
 def test_acceptance_07_amplification_corpus():
     start = time.perf_counter()
     rng = np.random.default_rng(662607)
-    grid = DiskGrid(center=0j, radius=1.0, rings=12, spokes=32, interior=96, seed=11)
+    grid = DiskGrid(rings=12, spokes=32)
     r = 2.0
     ap_cache = {}
     violations = 0
@@ -282,7 +282,7 @@ def test_acceptance_07_amplification_corpus():
 
 def test_acceptance_08_decomposition_discrepancy():
     start = time.perf_counter()
-    grid = DiskGrid(center=0j, radius=1.0, rings=16, spokes=48, interior=240, seed=13)
+    grid = DiskGrid(rings=21, spokes=48)
     worst = 0.0
     ok = True
     for seed in range(100, 150):
@@ -303,7 +303,7 @@ def test_acceptance_08_decomposition_discrepancy():
 
 def test_acceptance_09_theorem_engineered_regime():
     start = time.perf_counter()
-    grid = DiskGrid(center=0j, radius=1.0, rings=48, spokes=160, interior=768, seed=17)
+    grid = DiskGrid(rings=48, spokes=160)
     violations = 0
     worst_shift = 0.0
     for seed in range(20):

@@ -52,9 +52,11 @@ def test_constants_missing_class_flag_exits_64(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_bad_grid_shape_exits_64():
-    rc = run(["verify", "decomposition", "--grid", "16x"])
+@pytest.mark.parametrize("shape", ["16x", "0x0", "1x3", "8x0"])
+def test_bad_grid_shape_exits_64(shape, capsys):
+    rc = run(["verify", "decomposition", "--grid", shape])
     assert rc == 64
+    assert "argument --grid" in capsys.readouterr().err
 
 
 def test_missing_pair_file_exits_66(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zeroratio.constants import ClassParams, ParameterError, constant_Ap
-from zeroratio.factors import ZeroSet
+from zeroratio.factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid
 from zeroratio.models import PairSpec, build_pair, engineered_pair, random_pair
 from zeroratio.report import FAIL, PASS, PASS_UNMET
 from zeroratio.verifier import (
@@ -22,7 +22,7 @@ from zeroratio.grids import DiskGrid
 
 # a deliberately small grid keeps the sampled suprema honest while holding the
 # per-test runtime to a fraction of a second
-_SMALL = DiskGrid(center=0j, radius=1.0, rings=24, spokes=64, interior=256, seed=5)
+_SMALL = DiskGrid(rings=24, spokes=64)
 
 _PARAMS = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=0.08, mu=1.0, r0=1.0)
 
@@ -33,10 +33,36 @@ _PARAMS = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=0.08, mu=1.0, r0=1.0)
 
 
 def test_default_disk_grid_is_deterministic():
-    a = default_disk_grid(5.0)
-    b = default_disk_grid(5.0)
-    assert np.array_equal(a.points(), b.points())
-    assert np.max(np.abs(a.points())) <= 5.0 + 1e-12
+    a = default_disk_grid()
+    b = default_disk_grid()
+    assert np.array_equal(a.points(5.0), b.points(5.0))
+    assert np.max(np.abs(a.points(5.0))) <= 5.0 + 1e-12
+
+
+def _boundary_circle(radius, count):
+    return radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
+
+
+def test_disk_sups_are_boundary_circle_maxima():
+    """observed is the maximum over the 2N-point boundary circle, bitwise,
+    and the samples are the rings x N lattice plus that circle."""
+    grid = DiskGrid(rings=6, spokes=40)
+    expected_samples = grid.rings * grid.spokes + 2 * grid.spokes
+    build = engineered_pair(3)
+    spec, p = build.spec, build.p
+
+    radius = (p + 1) * spec.R ** (1.0 - spec.delta)
+    rep = check_lemma2(spec.outer_a, spec.R, float(p + 1), p, spec.delta, spec.params, grid=grid)
+    tail = TailProductSpec(zeros=spec.outer_a, genus=p, cutoff=spec.R)
+    circle = _boundary_circle(radius, 2 * grid.spokes)
+    assert rep.observed == np.max(np.abs(cexpm1(log_tail_product_grid(tail, circle))))
+    assert rep.samples == expected_samples
+
+    circle = _boundary_circle(spec.R ** (1.0 - spec.delta), 2 * grid.spokes)
+    v1, v2 = build.psi1(circle), build.psi2(circle)
+    for rep in check_theorem(build, grid=grid):
+        assert rep.observed == np.max(np.abs((v2 - v1) / v1))
+        assert rep.samples == expected_samples
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +167,28 @@ def test_step5_engineered_chain_all_pass():
         assert rep.preconditions_met, rep.check
     final = reports[-1]
     assert final.details["segment_observed"] <= final.details["segment_bound"]
+    assert reports[0].details["excluded_points"] == 0
+
+
+def test_step5_counts_masked_ray_points():
+    """A shared zero on the ray segment masks the ray samples at it."""
+    R, delta, angle = 60.0, 2.0 / 3.0, 0.4
+    base_r = R ** (1.0 - delta)
+    # the segment always samples the node 2*R^(1-delta), so psi1 vanishes there
+    on_ray = 2.0 * base_r * np.exp(1j * angle)
+    spec = PairSpec(
+        shared=ZeroSet.from_points([on_ray, 30.0 - 4.0j]),
+        outer_a=ZeroSet.from_points([70.0 + 5.0j]),
+        outer_b=ZeroSet.from_points([95.0 - 8.0j]),
+        R=R,
+        delta=delta,
+        params=_PARAMS,
+        ray_angle=angle,
+    )
+    ray = check_step5_bounds(build_pair(spec), grid=_SMALL, segment_samples=512)[0]
+    assert ray.check == "ray-ratio-smallness"
+    # the base and the refined segment each hit the node once
+    assert ray.details["excluded_points"] == 2
 
 
 def test_theorem_engineered_constant_form_passes():
