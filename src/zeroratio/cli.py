@@ -146,13 +146,6 @@ def _emit(text: str, out: str | None) -> None:
         raise _OutputError(f"cannot write output file {out}: {exc}") from exc
 
 
-def _zeroset_csv(zs: ZeroSet) -> str:
-    lines = ["re,im,mult"]
-    for loc, mult in zs:
-        lines.append(f"{loc.real!r},{loc.imag!r},{mult}")
-    return "\n".join(lines) + "\n"
-
-
 def _reports_csv(reports: list[VerificationReport]) -> str:
     lines = ["check,verdict,bound,observed,margin,samples,unmet_preconditions"]
     for r in reports:
@@ -175,10 +168,21 @@ def _plot_data_csv(reports: list[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_delta(text: str) -> float:
+    """--delta, which must lie strictly between 0 and 1."""
+    delta = float(text)
+    if not 0.0 < delta < 1.0:
+        raise argparse.ArgumentTypeError(f"delta must lie strictly between 0 and 1, got {text!r}")
+    return delta
+
+
 def _class_params(args) -> ClassParams:
-    return ClassParams(
-        C0=args.C0, C1=args.C1, rho=args.rho, sigma=args.sigma, mu=args.mu, r0=args.r0
-    )
+    try:
+        return ClassParams(
+            C0=args.C0, C1=args.C1, rho=args.rho, sigma=args.sigma, mu=args.mu, r0=args.r0
+        )
+    except ParameterError as exc:
+        raise _UsageError(f"invalid class parameter: {exc}") from exc
 
 
 def _load_build(args) -> PairBuild:
@@ -189,7 +193,7 @@ def _load_build(args) -> PairBuild:
         return build_pair(spec)
     if args.preset == "custom":
         raise _UsageError("--preset custom requires --pair FILE")
-    return engineered_pair(args.seed, poly_scale=args.poly_scale)
+    return engineered_pair(args.seed, poly_scale=getattr(args, "poly_scale", 0.0))
 
 
 def _select_function(args):
@@ -199,12 +203,7 @@ def _select_function(args):
         if getattr(args, "boost", False):
             return boost_ray_decay(jost)
         return jost.as_analytic_fn()
-    if args.pair is not None:
-        if args.R is None or args.delta is None:
-            raise _UsageError("--pair requires --R and --delta")
-        build = build_pair(load_pair_file(args.pair, args.R, args.delta))
-    else:
-        build = engineered_pair(args.seed)
+    build = _load_build(args)
     model = build.psi1 if args.component == 1 else build.psi2
     return model.as_analytic_fn()
 
@@ -226,7 +225,7 @@ def _cmd_constants(args) -> int:
 def _cmd_zeros(args) -> int:
     fn = _select_function(args)
     zs = locate_zeros(fn, center=args.center, radius=args.radius)
-    _emit(_zeroset_csv(zs), args.out)
+    _emit(zs.csv_text(), args.out)
     return EXIT_PASS
 
 
@@ -390,7 +389,7 @@ def build_parser() -> _Parser:
     # constants ---------------------------------------------------------------
     pc = sub.add_parser("constants", help="derived constants for one parameter set")
     _add_class_flags(pc)
-    pc.add_argument("--delta", type=float, required=True, help="disk shrink exponent")
+    pc.add_argument("--delta", type=_parse_delta, required=True, help="disk shrink exponent")
     pc.add_argument("--eps", type=float, default=1.0, help="target accuracy")
     pc.add_argument("--a", type=float, default=None, help="disk scale (default p+1)")
     pc.add_argument("--p-override", dest="p_override", type=int, default=None,
@@ -405,7 +404,7 @@ def build_parser() -> _Parser:
         p.add_argument("--component", type=int, choices=(1, 2), default=1,
                        help="which function of the pair")
         p.add_argument("--R", type=float, default=None, help="pair coincidence radius")
-        p.add_argument("--delta", type=float, default=None, help="pair shrink exponent")
+        p.add_argument("--delta", type=_parse_delta, default=None, help="pair shrink exponent")
         p.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--boost", action="store_true",
@@ -440,7 +439,7 @@ def build_parser() -> _Parser:
     # verify ------------------------------------------------------------------
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--R", type=float, default=None)
-    common.add_argument("--delta", type=float, default=None)
+    common.add_argument("--delta", type=_parse_delta, default=None)
     common.add_argument("--eps", type=float, default=1.0)
     common.add_argument("--grid", type=parse_disk_grid, default=None, metavar="NRxNT",
                         help="rings x boundary samples of the disk grid")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -77,13 +78,22 @@ class ZeroSet:
         return sum(m for _, m in self.entries)
 
     def locations(self) -> np.ndarray:
-        return np.array([loc for loc, _ in self.entries], dtype=complex)
+        return self._arrays[0]
 
     def multiplicities(self) -> np.ndarray:
-        return np.array([m for _, m in self.entries], dtype=int)
+        return self._arrays[1]
 
     def moduli(self) -> np.ndarray:
-        return np.abs(self.locations()) if self.entries else np.zeros(0)
+        return self._arrays[2]
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only locations, multiplicities and moduli, built once."""
+        locs = np.array([loc for loc, _ in self.entries], dtype=complex)
+        arrays = (locs, np.array([m for _, m in self.entries], dtype=int), np.abs(locs))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     def count_within(self, r: float) -> int:
         """Number of zeros with modulus <= r, counted with multiplicity."""
@@ -105,12 +115,13 @@ class ZeroSet:
 
     # -- CSV interchange: header re,im,mult ---------------------------------
 
+    def csv_text(self) -> str:
+        rows = [f"{loc.real!r},{loc.imag!r},{mult}" for loc, mult in self.entries]
+        return "\n".join(["re,im,mult"] + rows) + "\n"
+
     def to_csv(self, path) -> None:
-        lines = ["re,im,mult"]
-        for loc, mult in self.entries:
-            lines.append(f"{loc.real!r},{loc.imag!r},{mult}")
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(self.csv_text())
 
     @classmethod
     def from_csv(cls, path) -> "ZeroSet":
@@ -232,6 +243,36 @@ def log_primary_factor_full(xi: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+# Remainder left after the last power sum of a far-field expansion.
+_FAR_FIELD_TOL = 1e-17
+
+
+def log_far_field(z: np.ndarray, locations: np.ndarray, multiplicities: np.ndarray, p: int) -> np.ndarray:
+    """sum_n m_n log E_p(z/z_n) for zeros with |z_n| >= 2 max|z|, by power sums.
+
+    log E_p(xi) = -sum_{k>p} xi^k/k, so the sum is -sum_{k>p} (z^k/k) S_k with
+    S_k = sum_n m_n z_n^-k.  With q = max|z| / min|z_n| <= 1/2 and M the total
+    multiplicity, stopping at order K leaves at most M q^(K+1)/((K+1)(1-q)),
+    and K is the smallest order that puts this below _FAR_FIELD_TOL.  Powers
+    are taken of z/s and s/z_n with s = min|z_n|/2, which keeps both at or
+    below one; the cost is O(zeros*K + points*K).
+    """
+    z = np.asarray(z, dtype=complex)
+    s = 0.5 * float(np.min(np.abs(locations)))
+    q = float(np.max(np.abs(z), initial=0.0)) / (2.0 * s)
+    if q > 0.5:
+        raise DomainError(f"far-field zeros need |z_n| >= 2 max|z|, got max|z|/min|z_n| = {q:.6g}")
+    mass = float(np.sum(multiplicities))
+    K = p + 1
+    while mass * q ** (K + 1) / ((K + 1) * (1.0 - q)) > _FAR_FIELD_TOL:
+        K += 1
+    ratios = s / locations
+    powers = np.cumprod(np.broadcast_to(ratios, (K - p, len(ratios))), axis=0) * ratios**p
+    coeffs = (powers @ multiplicities) / np.arange(p + 1, K + 1)
+    w = z / s
+    return -(w ** (p + 1)) * np.polyval(coeffs[::-1], w)
+
+
 def primary_factor_grid(z: np.ndarray, location: complex, p: int) -> np.ndarray:
     """E_p(z / location) over an array, explicit form, valid for any ratio."""
     z = np.asarray(z, dtype=complex)
@@ -304,14 +345,11 @@ def log_tail_product_grid(spec: TailProductSpec, z: np.ndarray, block: int = 256
     flat = z.ravel()
     total = np.zeros_like(flat)
     comp = np.zeros_like(flat)
-    entries = spec.zeros.entries
-    for start in range(0, len(entries), block):
-        chunk = entries[start : start + block]
-        locs = np.array([loc for loc, _ in chunk], dtype=complex)
-        mults = np.array([m for _, m in chunk], dtype=float)
-        ratios = flat[:, None] / locs[None, :]
+    locs, mults = spec.zeros.locations(), spec.zeros.multiplicities().astype(float)
+    for start in range(0, len(locs), block):
+        ratios = flat[:, None] / locs[None, start : start + block]
         logs = log_primary_factor_grid(ratios, spec.genus)
-        term = logs @ mults
+        term = logs @ mults[start : start + block]
         y = term - comp
         t = total + y
         comp = (t - total) - y

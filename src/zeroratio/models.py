@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import ClassParams, ParameterError, select_p, threshold_r1
-from .factors import TailProductSpec, ZeroSet, log_primary_factor_full
+from .factors import TailProductSpec, ZeroSet, log_far_field, log_primary_factor_full
 from .jost import NoDecayError, RayFit, ray_decay_fit, ray_envelope_constant
 from .report import format_float
 from .zeros import AnalyticFn
@@ -29,6 +29,10 @@ from .zeros import AnalyticFn
 
 class PairConstructionError(RuntimeError):
     """The requested pair violates a construction precondition."""
+
+
+# points x near zeros per block of primary-factor logs in EntireModel.log_value
+_NEAR_BLOCK = 16384
 
 
 # ---------------------------------------------------------------------------
@@ -71,25 +75,32 @@ class EntireModel:
         return np.polyval(self.poly[::-1], np.asarray(z, dtype=complex))
 
     def log_value(self, z) -> np.ndarray:
-        """Sum of factor logarithms; -inf real part marks an exact zero."""
-        w = np.asarray(z, dtype=complex)
+        """Sum of factor logarithms; -inf real part marks an exact zero.
+
+        Zeros of modulus at least twice the batch's largest |z| enter through
+        their power sums (`log_far_field`); the others through blocks of
+        about _NEAR_BLOCK primary-factor logs, points x near zeros.
+        """
+        w = np.asarray(z, dtype=complex).ravel()
         total = self.poly_value(w)
+        locs, mults = self.zeros.locations(), self.zeros.multiplicities()
+        far = self.zeros.moduli() >= 2.0 * np.max(np.abs(w), initial=0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             if self.origin_order:
                 total = total + self.origin_order * np.log(w)
-            for loc, mult in self.zeros:
-                total = total + mult * log_primary_factor_full(w / loc, self.genus)
-        return total
+            if np.any(far):
+                total = total + log_far_field(w, locs[far], mults[far], self.genus)
+            near_locs, near_mults = locs[~far], mults[~far].astype(float)
+            step = max(1, _NEAR_BLOCK // max(1, len(near_locs)))
+            for i in range(0, len(w) if len(near_locs) else 0, step):
+                logs = log_primary_factor_full(w[i : i + step, None] / near_locs, self.genus)
+                total[i : i + step] += logs @ near_mults
+        return total.reshape(np.shape(z))
 
     def evaluate(self, z):
-        w = np.asarray(z, dtype=complex)
-        scalar = w.ndim == 0
-        logs = self.log_value(w.ravel())
-        vals = np.exp(logs)
-        vals[~np.isfinite(logs)] = 0.0
-        if scalar:
-            return complex(vals[0])
-        return vals.reshape(w.shape)
+        logs = self.log_value(z)
+        vals = np.where(np.isfinite(logs), np.exp(logs), 0.0)
+        return complex(vals) if vals.ndim == 0 else vals
 
     __call__ = evaluate
 
@@ -555,41 +566,28 @@ def save_pair_file(spec: PairSpec, path: str) -> None:
 
 
 def load_pair_file(path: str, R: float, delta: float) -> PairSpec:
-    """Read a pair blueprint; zero CSV paths resolve relative to the file."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Read a pair blueprint; zero CSV paths resolve relative to the file.
+
+    A file that is not JSON, or lacks a key or a number the blueprint needs,
+    raises ParameterError naming the file.
+    """
     base = os.path.dirname(os.path.abspath(path))
-
-    def zero_set(key):
-        rel = data[key]
-        return ZeroSet.from_csv(os.path.join(base, rel))
-
-    raw = data["params"]
-    params = ClassParams(
-        C0=float(raw["C0"]),
-        C1=float(raw["C1"]),
-        rho=float(raw["rho"]),
-        sigma=float(raw["sigma"]),
-        mu=float(raw["mu"]),
-        r0=float(raw.get("r0", 1.0)),
-    )
-
-    def poly(key):
-        rows = data.get(key)
-        if not rows:
-            return ()
-        return tuple(complex(float(re), float(im)) for re, im in rows)
-
-    genus = data.get("p")
-    return PairSpec(
-        shared=zero_set("shared_zeros"),
-        outer_a=zero_set("outer_a"),
-        outer_b=zero_set("outer_b"),
-        R=R,
-        delta=delta,
-        params=params,
-        ray_angle=float(data.get("ray_angle", 0.0)),
-        genus=None if genus is None else int(genus),
-        poly_a=poly("poly_a"),
-        poly_b=poly("poly_b"),
-    )
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+            raw = data["params"]
+            genus = data.get("p")
+            fields = dict(
+                shared=ZeroSet.from_csv(os.path.join(base, data["shared_zeros"])),
+                outer_a=ZeroSet.from_csv(os.path.join(base, data["outer_a"])),
+                outer_b=ZeroSet.from_csv(os.path.join(base, data["outer_b"])),
+                params=ClassParams(r0=float(raw.get("r0", 1.0)), **{
+                    k: float(raw[k]) for k in ("C0", "C1", "rho", "sigma", "mu")}),
+                ray_angle=float(data.get("ray_angle", 0.0)),
+                genus=None if genus is None else int(genus),
+                poly_a=tuple(complex(float(re), float(im)) for re, im in data.get("poly_a") or ()),
+                poly_b=tuple(complex(float(re), float(im)) for re, im in data.get("poly_b") or ()),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed pair file {path}: {exc!r}") from exc
+    return PairSpec(R=R, delta=delta, **fields)

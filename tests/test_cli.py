@@ -1,6 +1,8 @@
 """End-to-end tests of the command line: exit codes, formats, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from zeroratio import cli
 from zeroratio.factors import ZeroSet
 from zeroratio.jost import Kernel, save_kernel
+from zeroratio.models import random_pair, save_pair_file
 from zeroratio.report import VerificationReport
 
 
@@ -63,6 +66,36 @@ def test_missing_pair_file_exits_66(tmp_path):
     rc = run(["verify", "theorem", "--pair", str(tmp_path / "absent.json"),
               "--R", "60", "--delta", "0.6667"])
     assert rc == 66
+
+
+_CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.6667"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["constants", "--C0", "-1", "--sigma", "1"] + _CLASS, "C0"),
+    (["constants", "--C0", "2", "--sigma", "0"] + _CLASS, "sigma"),
+    (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "1.5"], "delta"),
+    (["zeros", "--preset", "custom", "--radius", "10"], "--preset custom requires --pair"),
+])
+def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    save_pair_file(random_pair(3), str(pair))
+    rc = run([str(pair) if a == "{pair}" else a for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 64
+    assert flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", ["re,im,mult\n1.0,0.0,1\n", '{"shared_zeros": "s.csv"}\n'])
+def test_malformed_pair_file_exits_2(content, tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    pair.write_text(content)
+    rc = run(["verify", "theorem", "--pair", str(pair), "--R", "400", "--delta", "0.67"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"evaluation error: malformed pair file {pair}" in err
+    assert "Traceback" not in err
 
 
 def test_zero_inside_cutoff_exits_2(tmp_path):
@@ -141,6 +174,19 @@ def test_threads_flag_is_ignored(capsys):
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
     assert outputs[0].startswith("[")
+
+
+def test_readme_theorem_example_is_current(capsys):
+    """The README's verify theorem example shows what the command prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    command, shown = re.search(
+        r"```sh\nzeroratio (verify theorem [^\n]*)\n```\n\n```json\n(.*?)```", readme, re.S
+    ).groups()
+    assert run(command.split()) == 0
+    out = capsys.readouterr().out
+    for key in ("bound", "observed", "samples"):
+        line = re.search(rf'"{key}": "[^"]*"', shown).group(0)
+        assert line in out
 
 
 def test_verify_decomposition_deterministic_bytes(tmp_path):

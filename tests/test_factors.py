@@ -17,6 +17,7 @@ from zeroratio.factors import (
     ZeroSet,
     cexpm1,
     guard_radius,
+    log_far_field,
     log_primary_factor_full,
     log_primary_factor_grid,
     log_tail_product_grid,
@@ -75,6 +76,16 @@ def test_log_primary_factor_rejects_outside_guard():
         log_primary_factor_grid(np.array([0.9 + 0j]), 1)
     with pytest.raises(DomainError):
         log_primary_factor_grid(np.array([0.1, 0.95 + 0j]), 1)
+
+
+def test_log_far_field_rejects_zeros_closer_than_twice_the_points():
+    locs = np.array([4.0 + 0j, 10.0j])
+    mults = np.array([1, 2])
+    z = np.array([1.0, 2.0j])
+    direct = log_primary_factor_grid(z[:, None] / locs, 2) @ mults
+    assert np.allclose(log_far_field(z, locs, mults, 2), direct, rtol=1e-14, atol=0.0)
+    with pytest.raises(DomainError):
+        log_far_field(np.array([2.1 + 0j]), locs, mults, 2)
 
 
 def test_guard_radius_values():

@@ -1,6 +1,7 @@
 """Tests for the certification layer: each check's verdict, bound, and policy."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,6 +78,23 @@ def test_decomposition_identity_on_random_pairs():
         assert rep.verdict == PASS
         assert rep.observed <= rep.bound
         assert rep.details["excluded_points"] == 0
+
+
+def test_decomposition_fails_when_psi1_drifts_from_its_tail_spec():
+    """The identity's sides use independent arithmetic, so a 1e-6 drift shows.
+
+    psi1 is rebuilt with its smallest shared zero moved by 1e-6 relative,
+    while the tail products on the other side still use the original zeros.
+    """
+    build = build_pair(random_pair(11))
+    entries = list(build.psi1.zeros.entries)
+    loc, mult = entries[0]
+    entries[0] = (loc * (1.0 + 1e-6), mult)
+    moved = replace(build, psi1=replace(build.psi1, zeros=ZeroSet(tuple(entries))))
+    assert check_decomposition(build, grid=_SMALL).verdict == PASS
+    rep = check_decomposition(moved, grid=_SMALL)
+    assert rep.verdict == FAIL
+    assert rep.observed > rep.bound
 
 
 def test_single_extra_zero_gives_primary_factor_ratio():
