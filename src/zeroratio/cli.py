@@ -7,7 +7,7 @@ fits), verify (inequality checks producing a JSON report array).
 Exit codes: 0 when every verdict is pass or pass-with-unmet-preconditions,
 1 when any verdict is fail, 2 on evaluation errors (a non-finite bound,
 observation or transform value among them), 64 on usage errors, 66 when an
-input file is missing, 73 when an output file cannot be written.
+input file is missing or unreadable, 73 when an output file cannot be written.
 
 Identical invocations produce byte-identical output: all randomness is keyed
 by --seed (default 0) and every evaluation runs in one thread in a fixed
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -168,12 +169,25 @@ def _plot_data_csv(reports: list[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_delta(text: str) -> float:
-    """--delta, which must lie strictly between 0 and 1."""
-    delta = float(text)
-    if not 0.0 < delta < 1.0:
-        raise argparse.ArgumentTypeError(f"delta must lie strictly between 0 and 1, got {text!r}")
-    return delta
+def _number_range(cast, low: float, high: float, low_inclusive: bool = False):
+    """argparse type for a cast(text) in (low, high), or in [low, high) when low_inclusive."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not (low <= value if low_inclusive else low < value) or not value < high:
+            raise argparse.ArgumentTypeError(
+                f"must lie in {'[' if low_inclusive else '('}{low:g}, {high:g}), got {text!r}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__  # for argparse's "invalid float value" message
+    return parse
+
+
+_parse_delta = _number_range(float, 0.0, 1.0)
+_parse_positive = _number_range(float, 0.0, math.inf)  # --R, --eps, --radius, --r
+_parse_non_negative = _number_range(float, 0.0, math.inf, low_inclusive=True)  # --poly-scale
+_parse_seed = _number_range(int, 0, math.inf, low_inclusive=True)  # --seed, --poly-seed
 
 
 def _class_params(args) -> ClassParams:
@@ -390,7 +404,7 @@ def build_parser() -> _Parser:
     pc = sub.add_parser("constants", help="derived constants for one parameter set")
     _add_class_flags(pc)
     pc.add_argument("--delta", type=_parse_delta, required=True, help="disk shrink exponent")
-    pc.add_argument("--eps", type=float, default=1.0, help="target accuracy")
+    pc.add_argument("--eps", type=_parse_positive, default=1.0, help="target accuracy")
     pc.add_argument("--a", type=float, default=None, help="disk scale (default p+1)")
     pc.add_argument("--p-override", dest="p_override", type=int, default=None,
                     help="force the genus instead of deriving it")
@@ -403,23 +417,23 @@ def build_parser() -> _Parser:
         p.add_argument("--pair", default=None, help="pair JSON file")
         p.add_argument("--component", type=int, choices=(1, 2), default=1,
                        help="which function of the pair")
-        p.add_argument("--R", type=float, default=None, help="pair coincidence radius")
+        p.add_argument("--R", type=_parse_positive, default=None, help="pair coincidence radius")
         p.add_argument("--delta", type=_parse_delta, default=None, help="pair shrink exponent")
         p.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_parse_seed, default=0)
         p.add_argument("--boost", action="store_true",
                        help="apply the decay-boost transform to a kernel function")
         p.add_argument("--out", default=None)
 
     pz = sub.add_parser("zeros", help="locate zeros, emitting a re,im,mult CSV")
     add_selection(pz)
-    pz.add_argument("--radius", type=float, required=True)
+    pz.add_argument("--radius", type=_parse_positive, required=True)
     pz.add_argument("--center", type=_parse_complex, default=0j, metavar="RE,IM")
     pz.set_defaults(handler=_cmd_zeros)
 
     pj = sub.add_parser("jensen", help="circle-average identity at one radius")
     add_selection(pj)
-    pj.add_argument("--radius", type=float, required=True)
+    pj.add_argument("--radius", type=_parse_positive, required=True)
     pj.set_defaults(handler=_cmd_jensen)
 
     # jost --------------------------------------------------------------------
@@ -438,17 +452,17 @@ def build_parser() -> _Parser:
 
     # verify ------------------------------------------------------------------
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--R", type=float, default=None)
+    common.add_argument("--R", type=_parse_positive, default=None)
     common.add_argument("--delta", type=_parse_delta, default=None)
-    common.add_argument("--eps", type=float, default=1.0)
+    common.add_argument("--eps", type=_parse_positive, default=1.0)
     common.add_argument("--grid", type=parse_disk_grid, default=None, metavar="NRxNT",
                         help="rings x boundary samples of the disk grid")
     common.add_argument("--pair", default=None, help="pair JSON file")
     common.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_parse_seed, default=0)
     common.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored; evaluation is single-threaded")
-    common.add_argument("--poly-scale", dest="poly_scale", type=float, default=0.0,
+    common.add_argument("--poly-scale", dest="poly_scale", type=_parse_non_negative, default=0.0,
                         help="inject polynomial exponents of this size into the preset pair")
     common.add_argument("--out", default=None)
     common.add_argument("--plot-data", dest="plot_data", default=None,
@@ -470,10 +484,10 @@ def build_parser() -> _Parser:
                          help="segment-to-disk amplification for one polynomial")
     v3.add_argument("--coeffs", type=_parse_coeffs, default=None,
                     help="comma-separated complex coefficients, constant first")
-    v3.add_argument("--poly-seed", dest="poly_seed", type=int, default=None,
+    v3.add_argument("--poly-seed", dest="poly_seed", type=_parse_seed, default=None,
                     help="draw an admissible polynomial from this seed")
     v3.add_argument("--p", type=int, default=None, help="degree for --poly-seed")
-    v3.add_argument("--r", type=float, default=2.0, help="segment base radius")
+    v3.add_argument("--r", type=_parse_positive, default=2.0, help="segment base radius")
     v3.add_argument("--mu", type=float, default=1.0, help="segment decay exponent")
     v3.set_defaults(handler=_cmd_verify)
 
@@ -504,9 +518,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        name = getattr(exc, "filename", None) or exc
-        print(f"input file not found: {name}", file=sys.stderr)
+    except OSError as exc:  # output files raise _OutputError, so this is an input
+        print(f"cannot read input file {exc.filename or ''}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_NOINPUT
     except _OutputError as exc:
         print(str(exc), file=sys.stderr)

@@ -125,19 +125,22 @@ class ZeroSet:
 
     @classmethod
     def from_csv(cls, path) -> "ZeroSet":
+        """Read a re,im,mult file; a malformed one raises ParameterError naming it."""
         entries: list[tuple[complex, int]] = []
         with open(path) as fh:
-            header = fh.readline().strip().lower()
-            if header.replace(" ", "") != "re,im,mult":
-                raise ParameterError(f"expected header 're,im,mult', got {header!r}")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise ParameterError(f"line {lineno}: expected three fields")
-                entries.append((complex(float(parts[0]), float(parts[1])), int(parts[2])))
+            try:
+                header = fh.readline().strip().lower()
+                if header.replace(" ", "") != "re,im,mult":
+                    raise ParameterError(f"expected header 're,im,mult', got {header!r}")
+                for lineno, line in enumerate(fh, start=2):
+                    parts = line.strip().split(",")
+                    if parts == [""]:
+                        continue
+                    if len(parts) != 3:
+                        raise ParameterError(f"line {lineno}: expected three fields")
+                    entries.append((complex(float(parts[0]), float(parts[1])), int(parts[2])))
+            except ValueError as exc:  # ParameterError and UnicodeDecodeError among them
+                raise ParameterError(f"malformed zero file {path}: {exc}") from exc
         return cls(tuple(entries))
 
 

@@ -190,8 +190,12 @@ def kernel_from_json(data: dict) -> Kernel:
 
 
 def load_kernel(path) -> Kernel:
+    """Read a kernel file; one that is not a kernel's JSON raises ParameterError."""
     with open(path) as fh:
-        return kernel_from_json(json.load(fh))
+        try:
+            return kernel_from_json(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ParameterError(f"malformed kernel file {path}: {exc!r}") from exc
 
 
 def save_kernel(kernel: Kernel, path) -> None:

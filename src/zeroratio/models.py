@@ -93,8 +93,11 @@ class EntireModel:
             near_locs, near_mults = locs[~far], mults[~far].astype(float)
             step = max(1, _NEAR_BLOCK // max(1, len(near_locs)))
             for i in range(0, len(w) if len(near_locs) else 0, step):
-                logs = log_primary_factor_full(w[i : i + step, None] / near_locs, self.genus)
-                total[i : i + step] += logs @ near_mults
+                block = w[i : i + step, None]
+                ratios = block / near_locs
+                # complex division can leave z_n/z_n a rounding away from 1
+                ratios[block == near_locs] = 1.0
+                total[i : i + step] += log_primary_factor_full(ratios, self.genus) @ near_mults
         return total.reshape(np.shape(z))
 
     def evaluate(self, z):

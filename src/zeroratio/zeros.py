@@ -1,14 +1,23 @@
-"""Zero counting and location by adaptive phase tracking.
+"""Zero counting and location by adaptive phase tracking and contour moments.
 
 Counting uses the argument principle without derivatives: the phase of f is
 tracked along the contour, samples are inserted wherever a step of the
 tracked phase reaches pi/2, and the winding number is the accumulated change
-divided by 2*pi.  Locating combines counted quad subdivision with a contour
-centroid: for a circle enclosing exactly the sought zeros, the branch-tracked
-integral of log f recovers their multiplicity-weighted mean exactly, which
-for clusters converges to the cluster center and for simple and multiple
-zeros alike gives spectral-accuracy estimates; a final secant step polishes
-simple zeros off.
+divided by 2*pi.
+
+Locating reads the zeros off their power moments (Delves & Lyness, Math.
+Comp. 21, 1967).  On a circle |z - c| = r enclosing m zeros, the
+branch-tracked log f minus its winding ramp i*m*theta is periodic, and its
+Fourier coefficient at frequency -k is -s_k/k, where s_k = sum_j m_j w_j^k
+over the enclosed zeros w_j = (z_j - c)/r.  One FFT of equispaced samples
+thus gives every moment.  The numerical rank of the Hankel matrix of
+s_0..s_{2m-1} is the number of distinct zeros, the eigenvalues of the Hankel
+pencil are their locations, and a Vandermonde fit gives their multiplicities
+(Kravanja, Sakurai & Van Barel, BIT 39, 1999).  The Hankel problem is
+ill-conditioned for many zeros, so a disk with more than _PENCIL_CAP zeros,
+or one whose pencil is rejected, is covered by counted square subdivision
+whose cells' circumcircles are the pencil leaves.  Simple zeros are finished
+by a secant step, multiple ones by one pencil pass on a small circle.
 """
 
 from __future__ import annotations
@@ -42,10 +51,6 @@ class EvaluationError(RuntimeError):
 
 class _ContourDip(Exception):
     """Internal: |f| dipped below the contour floor; retry with a nudge."""
-
-
-class _CountMismatch(Exception):
-    """Internal: a polish circle did not enclose the expected multiplicity."""
 
 
 _NUDGE = 1.0 + 2.0**-20
@@ -97,20 +102,9 @@ def as_analytic(f) -> AnalyticFn:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Scan:
-    ts: np.ndarray
-    values: np.ndarray
-    dphi: np.ndarray
-    scale: float
-
-    @property
-    def winding(self) -> float:
-        return float(self.dphi.sum() / (2.0 * math.pi))
-
-
-def _phase_scan(fn: AnalyticFn, to_point: Callable, period: float, ts: np.ndarray, max_samples: int) -> _Scan:
-    """Refine parameter samples of a closed contour until every phase step < pi/2.
+def _phase_scan(fn: AnalyticFn, to_point: Callable, period: float, ts: np.ndarray,
+                max_samples: int) -> tuple[float, int]:
+    """Winding number and sample count of a closed contour, refined until every phase step < pi/2.
 
     Zero-on-contour detection is local: an exactly vanishing sample, or a
     phase step that stays pinned at +-pi down to the sample-spacing floor
@@ -139,11 +133,9 @@ def _phase_scan(fn: AnalyticFn, to_point: Callable, period: float, ts: np.ndarra
         if not np.all(np.isfinite(values)):
             raise EvaluationError("non-finite function value on contour")
         mags = np.abs(values)
-        scale = float(mags.max(initial=0.0))
-        if scale == 0.0 or float(mags.min()) == 0.0:
+        if float(mags.min()) == 0.0:
             raise _ContourDip
-        nxt = np.roll(values, -1)
-        dphi = np.angle(nxt * np.conj(values))
+        dphi = np.angle(np.roll(values, -1) * np.conj(values))
         # two refinement triggers: a phase step of pi/2, and a magnitude jump
         # of a factor 4.  The latter has no wrap ambiguity (|f| is positive),
         # so it flushes out zeros hugging the contour whose phase cliff can
@@ -164,7 +156,7 @@ def _phase_scan(fn: AnalyticFn, to_point: Callable, period: float, ts: np.ndarra
             continue
         winding = float(dphi.sum() / (2.0 * math.pi))
         if confirmed is not None and abs(winding - confirmed) <= 1e-3:
-            return _Scan(ts=ts, values=values, dphi=dphi, scale=scale)
+            return winding, len(ts)
         # a wrapped step can hide a full extra turn; accept the winding only
         # after a global doubling reproduces it
         confirmed = winding
@@ -186,25 +178,18 @@ class CountResult:
     residual: float
     samples: int
     radius: float
-    center: complex = 0j
 
     @property
     def reliable(self) -> bool:
         return self.residual < 0.25 and self.count >= 0
 
 
-def count_zeros(
-    f,
-    center: complex = 0j,
-    radius: float = 1.0,
-    initial_samples: int = 64,
-    max_samples: int = 1 << 17,
-) -> CountResult:
+def count_zeros(f, center: complex = 0j, radius: float = 1.0) -> CountResult:
     """Count zeros of f inside the circle |z - center| = radius.
 
-    If a zero sits on the contour (detected as |f| dipping below 1e-13 of the
-    contour maximum) the radius is nudged outward by a relative 2^-20, up to
-    eight times, before giving up.
+    If a zero sits on the contour (an exactly vanishing sample, or a phase
+    flip that refinement cannot resolve) the radius is nudged outward by a
+    relative 2^-20, up to eight times, before giving up.
     """
     if radius <= 0:
         raise ParameterError("radius must be positive")
@@ -213,28 +198,14 @@ def count_zeros(
     for bump in range(9):
         r_eff = radius * _NUDGE**bump
         try:
-            scan = _phase_scan(
-                fn,
-                lambda t: center + r_eff * np.exp(2j * math.pi * t),
-                1.0,
-                np.arange(initial_samples) / initial_samples,
-                max_samples,
-            )
+            winding, samples = _phase_scan(fn, lambda t: center + r_eff * np.exp(2j * math.pi * t),
+                                           1.0, np.arange(64) / 64.0, 1 << 17)
         except _ContourDip:
             continue
-        winding = scan.winding
         count = int(round(winding))
-        return CountResult(
-            count=count,
-            winding=winding,
-            residual=abs(winding - count),
-            samples=len(scan.ts),
-            radius=r_eff,
-            center=center,
-        )
-    raise ZeroOnContourError(
-        f"|f| vanishes on every nudged circle near radius {radius:.6g}"
-    )
+        return CountResult(count=count, winding=winding, residual=abs(winding - count),
+                           samples=samples, radius=r_eff)
+    raise ZeroOnContourError(f"|f| vanishes on every nudged circle near radius {radius:.6g}")
 
 
 def _square_map(x0: float, x1: float, y0: float, y1: float) -> Callable:
@@ -252,242 +223,249 @@ def _square_map(x0: float, x1: float, y0: float, y1: float) -> Callable:
     return to_point
 
 
-def _count_rect(fn: AnalyticFn, x0: float, x1: float, y0: float, y1: float, max_samples: int = 1 << 16) -> tuple[int, int]:
+def _count_rect(fn: AnalyticFn, x0: float, x1: float, y0: float, y1: float) -> int:
     """Winding count on a rectangle boundary; raises _ContourDip on |f| dips."""
-    scan = _phase_scan(
-        fn,
-        _square_map(x0, x1, y0, y1),
-        4.0,
-        np.arange(64) / 16.0,
-        max_samples,
-    )
-    winding = scan.winding
+    winding, _samples = _phase_scan(fn, _square_map(x0, x1, y0, y1), 4.0, np.arange(64) / 16.0, 1 << 16)
     count = int(round(winding))
     if abs(winding - count) >= 0.25 or count < 0:
         raise NonConvergentError(
             f"unreliable winding {winding:.3f} on rectangle [{x0:.6g},{x1:.6g}]x[{y0:.6g},{y1:.6g}]"
         )
-    return count, len(scan.ts)
+    return count
 
 
 # ---------------------------------------------------------------------------
-# cluster centroid via the branch-tracked log integral
+# contour moments and the Hankel pencil
 # ---------------------------------------------------------------------------
 
+# most zeros one pencil solves: the Hankel problem is ill-conditioned beyond
+_PENCIL_CAP = 8
+# singular values of H0 below this fraction of the largest count as rank loss
+_RANK_TOL = 1e-9
+# successive moment sets agreeing to this, relative to the size of log f, have settled
+_MOMENT_TOL = 1e-11
+# circle samples after which a leaf is given up
+_MOMENT_SAMPLES = 1 << 14
+# polish circle around a multiple zero, relative to max(1, |zero|)
+_POLISH_RADIUS = 1e-4
+# a located zero must bring |f| below this fraction of its size 1e-6 |zero| away
+_RESIDUAL_TOL = 1e-8
 
-def _circle_centroid(fn: AnalyticFn, center: complex, radius: float, expect: int) -> tuple[complex, bool]:
-    """Multiplicity-weighted mean of the zeros inside the circle.
 
-    Integrates the branch-tracked log of f along the circle; the linear-in-
-    angle branch growth is split off and integrated exactly, the periodic
-    remainder by the (spectrally accurate) trapezoid rule.  Requires the
-    circle to enclose exactly `expect` zeros; raises _CountMismatch otherwise.
-    Returns (centroid, converged).
+def _circle_moments(fn: AnalyticFn, center: complex, radius: float) -> np.ndarray | None:
+    """Moments s_0..s_{2m-1} of the m zeros inside |z - center| = radius.
+
+    s_k = sum_j m_j w_j^k with w_j = (z_j - center)/radius.  With the winding
+    ramp i*m*theta taken off, the branch-tracked log f is periodic and its
+    Fourier coefficient at frequency -k is -s_k/k, so one FFT gives every
+    moment.  The sample count doubles by adding the odd points until every
+    phase step is below pi/2 and two successive moment sets agree.  Returns
+    None when the winding is 0 or exceeds _PENCIL_CAP, or when the moments do
+    not settle within _MOMENT_SAMPLES; raises _ContourDip when |f| vanishes
+    on the circle.
     """
     n = 64
-    prev_winding = None
-    prev_w = None
-    last_w = None
-    while n <= 16384:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        values = fn(center + radius * np.exp(1j * theta))
+    values = fn(center + radius * np.exp(2j * math.pi * np.arange(n) / n))
+    prev = None
+    while True:
         if not np.all(np.isfinite(values)):
-            raise EvaluationError("non-finite value on centroid circle")
+            raise EvaluationError("non-finite function value on moment circle")
         mags = np.abs(values)
-        scale = float(mags.max(initial=0.0))
-        if scale == 0.0 or float(mags.min()) == 0.0:
+        if float(mags.min()) == 0.0:
             raise _ContourDip
-        dphi = np.angle(np.roll(values, -1) * np.conj(values))
         logmags = np.log(mags)
+        dphi = np.angle(np.roll(values, -1) * np.conj(values))
         dmag = np.abs(np.roll(logmags, -1) - logmags)
-        if np.any(np.abs(dphi) >= math.pi / 2.0) or np.any(dmag >= _LOG_JUMP):
-            prev_winding = None
-            prev_w = None
-            n *= 2
-            continue
-        winding = float(dphi.sum() / (2.0 * math.pi))
-        m = int(round(winding))
-        if abs(winding - m) >= 0.25:
-            raise _CountMismatch
-        phase = np.angle(values[0]) + np.concatenate([[0.0], np.cumsum(dphi[:-1])])
-        log_track = np.log(mags) + 1j * phase
-        periodic = log_track - 1j * m * theta
-        dz = 1j * radius * np.exp(1j * theta)
-        integral = (2.0 * math.pi / n) * np.sum(periodic * dz)
-        integral += 2j * math.pi * m * radius  # exact integral of the branch ramp
-        w = (center + radius) - integral / (2j * math.pi * max(m, 1))
-        if prev_winding is not None and abs(winding - prev_winding) <= 1e-3:
-            # winding confirmed by doubling, safe to compare with expectation
-            if m != expect or m == 0:
-                raise _CountMismatch
-            if prev_w is not None and abs(w - prev_w) <= max(1e-13 * radius, 1e-15 * max(1.0, abs(w))):
-                return w, True
-            last_w = w
-        prev_winding = winding
-        prev_w = w
+        if np.all(np.abs(dphi) < math.pi / 2.0) and np.all(dmag < _LOG_JUMP):
+            winding = float(dphi.sum() / (2.0 * math.pi))
+            m = int(round(winding))
+            if abs(winding - m) >= 0.25 or not 1 <= m <= _PENCIL_CAP:
+                return None
+            theta = 2.0 * math.pi * np.arange(n) / n
+            phase = np.angle(values[0]) + np.concatenate([[0.0], np.cumsum(dphi[:-1])])
+            periodic = logmags + 1j * (phase - m * theta)
+            coeffs = np.fft.fft(periodic) / n
+            k = np.arange(1, 2 * m)
+            s = np.concatenate([[float(m)], -k * coeffs[-k]])
+            tol = _MOMENT_TOL * (1.0 + float(np.abs(periodic).max()))
+            if prev is not None and len(prev) == len(s) and np.all(np.abs(s - prev) <= tol):
+                return s
+            prev = s
+        else:
+            prev = None
+        if 2 * n > _MOMENT_SAMPLES:
+            return None
+        odd = fn(center + radius * np.exp(2j * math.pi * (np.arange(n) + 0.5) / n))
+        values = np.stack([values, odd], axis=1).ravel()
         n *= 2
-    if last_w is None:
-        # phase steps or windings never settled at any sample count
-        raise _CountMismatch
-    return last_w, False
 
 
-def _centroid_retry(fn: AnalyticFn, center: complex, radius: float, expect: int) -> tuple[complex, bool]:
-    """_circle_centroid with radius nudges past |f| dips; _CountMismatch passes through."""
-    for bump in range(6):
-        try:
-            return _circle_centroid(fn, center, radius * _NUDGE**bump, expect)
-        except _ContourDip:
-            continue
-    raise _ContourDip
+def _pencil(s: np.ndarray) -> list[tuple[complex, int]] | None:
+    """Distinct zeros and their multiplicities from the moments s_0..s_{2m-1}.
 
-
-def _polish(fn: AnalyticFn, circle_center: complex, circle_radius: float, guess: complex, mult: int) -> tuple[complex, float]:
-    """Shrink a verified isolating circle onto its zeros.
-
-    (circle_center, circle_radius) must already be known to enclose exactly
-    `mult` zeros.  Each round moves the circle to the latest centroid and
-    tries to shrink it, re-verifying the enclosed count; if the count check
-    rejects every shrink the zeros fill the circle (a genuine cluster) and
-    the loop stops.  Returns (location, final radius): a final radius at the
-    resolution floor means the zeros are coincident to working precision.
+    The numerical rank of H0 = [s_{i+j}] is the number of distinct zeros, the
+    eigenvalues of the pencil (H1, H0) with H1 = [s_{i+j+1}], compressed to
+    that rank, are their locations, and a Vandermonde least-squares fit to
+    the moments gives their multiplicities.  Returns None unless every
+    multiplicity is within 1e-3 of a positive integer, they sum to m, and
+    every node lies inside the unit circle.
     """
-    c, r, w = complex(circle_center), float(circle_radius), complex(guess)
-    floor = 1e-13 * max(1.0, abs(w))
-    for _ in range(48):
-        if r <= floor * 8:
+    m = len(s) // 2
+    idx = np.add.outer(np.arange(m), np.arange(m))
+    u, sig, vh = np.linalg.svd(s[idx])
+    q = int(np.count_nonzero(sig > _RANK_TOL * sig[0]))
+    nodes = np.linalg.eigvals(u[:, :q].conj().T @ s[idx + 1] @ vh[:q].conj().T / sig[:q])
+    mults = np.linalg.lstsq(nodes ** np.arange(2 * m)[:, None], s, rcond=None)[0]
+    counts = np.rint(mults.real)
+    if (np.any(np.abs(mults - counts) > 1e-3) or np.any(counts < 1)
+            or counts.sum() != m or np.any(np.abs(nodes) >= 1.0)):
+        return None
+    return [(complex(w), int(c)) for w, c in zip(nodes, counts)]
+
+
+def _secant(fn: AnalyticFn, w: complex, iso: float) -> complex:
+    """Secant iteration from a node; kept only if it stays within iso/2 of it."""
+    z0, z1 = w + iso / 1024.0, w
+    f0 = fn(z0)
+    for _ in range(60):
+        f1 = fn(z1)
+        if f1 == f0 or f1 == 0:
             break
-        rr = max(min(r / 5.0, 3.0 * abs(w - c) + r / 40.0), floor * 4)
-        placed = False
-        while rr < r * 0.98:
-            try:
-                w2, _conv = _centroid_retry(fn, w, rr, mult)
-            except (_CountMismatch, _ContourDip):
-                rr *= 2.6
-                continue
-            c, r, w = w, rr, w2
-            placed = True
+        z0, f0, z1 = z1, f1, z1 - f1 * (z1 - z0) / (f1 - f0)
+        if abs(z1 - z0) <= 1e-15 * max(1.0, abs(z1)):
             break
-        if not placed:
-            break
-    # machine-precision secant finish for simple zeros
-    if mult == 1:
-        z0, z1 = w + max(2.0 * r, 8.0 * floor), w
-        f0 = fn(z0)
-        for _ in range(60):
-            f1 = fn(z1)
-            if f1 == f0 or f1 == 0:
-                break
-            z2 = z1 - f1 * (z1 - z0) / (f1 - f0)
-            z0, f0, z1 = z1, f1, z2
-            if abs(z1 - z0) <= 1e-15 * max(1.0, abs(z1)):
-                break
-        if abs(z1 - w) <= max(4.0 * circle_radius, 1e-6 * max(1.0, abs(w))):
-            w = z1
-    return w, r
+    return z1 if abs(z1 - w) <= iso / 2.0 else w
+
+
+def _residual(fn: AnalyticFn, w: complex) -> float:
+    """|f(w)| relative to the largest |f| on a ring of radius 1e-6 max(1, |w|) around w."""
+    ring = fn(w + 1e-6 * max(1.0, abs(w)) * np.exp(2j * math.pi * np.arange(8) / 8.0))
+    scale = float(np.abs(ring).max())
+    return abs(fn(w)) / scale if scale > 0 else 0.0
+
+
+def _leaf(fn: AnalyticFn, center: complex, radius: float, polish_multiple: bool = True) -> list | None:
+    """All zeros inside one circle as (location, multiplicity) pairs, or None.
+
+    The pencil nodes are polished: simple zeros by a secant step, multiple
+    ones by one pencil pass on a small circle around them, which also splits
+    a close cluster that the large circle saw as one multiple zero.  None
+    means the circle was rejected and must be subdivided.
+    """
+    try:
+        s = _circle_moments(fn, center, radius)
+    except _ContourDip:
+        return None
+    if s is None or (found := _pencil(s)) is None:
+        return None
+    out = []
+    for j, (w, mult) in enumerate(found):
+        z = center + radius * w
+        # distance to the nearest other node or to the circle: no other zero is closer
+        iso = radius * min([1.0 - abs(w)] + [abs(w - v) for i, (v, _) in enumerate(found) if i != j])
+        if mult == 1:
+            out.append((_secant(fn, z, iso), 1))
+        elif not polish_multiple:
+            out.append((z, mult))
+        else:
+            inner = _leaf(fn, z, min(_POLISH_RADIUS * max(1.0, abs(z)), iso / 4.0), False)
+            # a cluster too tight for the small circle fails the residual and goes to subdivision
+            if inner is None or sum(k for _, k in inner) != mult or any(
+                    k > 1 and _residual(fn, v) > _RESIDUAL_TOL for v, k in inner):
+                return None
+            out.extend(inner)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# subdivision locator
+# locator
 # ---------------------------------------------------------------------------
 
 # split fractions tried when a zero rides an internal subdivision edge
 _SPLIT_FRACTIONS = (0.5, 0.5 + 2.0**-8, 0.5 - 2.0**-8, 0.5 + 2.0**-6, 0.5 - 2.0**-6,
                     0.5 + 2.0**-4, 0.5 - 2.0**-4, 0.5 + 0.11, 0.5 - 0.11)
+_MAX_CELLS = 50_000
 
 
-def locate_zeros(
-    f,
-    center: complex = 0j,
-    radius: float = 1.0,
-    max_cells: int = 50_000,
-) -> ZeroSet:
+def locate_zeros(f, center: complex = 0j, radius: float = 1.0) -> ZeroSet:
     """Locate all zeros of f in the open disk |z - center| < radius.
 
-    Counted quad subdivision: cells whose boundary winding is zero are
-    dropped, cells with several zeros are split (with jittered split lines
-    when a zero rides an edge), and leaf cells are polished by the circle
-    centroid plus a secant finish.  The returned multiplicities
-    always sum to the disk's total winding count; anything else raises.
+    The pencil runs on the disk itself when it holds at most _PENCIL_CAP
+    zeros.  Otherwise, or when that pencil is rejected, counted square
+    subdivision takes over: cells whose boundary winding is zero are dropped,
+    cells with more than _PENCIL_CAP zeros are split (with jittered split
+    lines when a zero rides an edge), and every other cell's circumcircle is
+    a pencil leaf that keeps the zeros inside its cell.  The returned
+    multiplicities always sum to the disk's total winding count; anything
+    else raises.
     """
     fn = as_analytic(f)
     center = complex(center)
     outer = count_zeros(fn, center, radius)
     if not outer.reliable:
-        raise NonConvergentError(
-            f"outer circle winding {outer.winding:.4f} is not trustworthy"
-        )
+        raise NonConvergentError(f"outer circle winding {outer.winding:.4f} is not trustworthy")
     if outer.count == 0:
         return ZeroSet(())
-    half = outer.radius * 1.0000019
-    found: list[tuple[complex, int]] = []
-    cells_used = 0
-
-    def rect_count(x0, x1, y0, y1) -> int:
-        nonlocal cells_used
-        cells_used += 1
-        if cells_used > max_cells:
-            raise NonConvergentError(f"subdivision exceeded {max_cells} cells")
-        count, _samples = _count_rect(fn, x0, x1, y0, y1)
-        return count
-
-    def split(x0, x1, y0, y1, m) -> None:
-        size = max(x1 - x0, y1 - y0)
+    found = _leaf(fn, center, outer.radius) if outer.count <= _PENCIL_CAP else None
+    if found is None or sum(m for _, m in found) != outer.count:
+        found = []
+        cells_used = 0
         floor = 1e-11 * max(1.0, abs(center) + radius)
-        if size <= floor:
-            # unreduced cluster at resolution floor: report its center with
-            # the full multiplicity (coincident zeros to working precision)
-            found.append((complex((x0 + x1) / 2.0, (y0 + y1) / 2.0), m))
-            return
-        for frac in _SPLIT_FRACTIONS:
-            xm = x0 + (x1 - x0) * frac
-            ym = y0 + (y1 - y0) * frac
-            quads = ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1))
+
+        def rect_count(x0, x1, y0, y1) -> int:
+            nonlocal cells_used
+            cells_used += 1
+            if cells_used > _MAX_CELLS:
+                raise NonConvergentError(f"subdivision exceeded {_MAX_CELLS} cells")
+            return _count_rect(fn, x0, x1, y0, y1)
+
+        def split(x0, x1, y0, y1, m) -> None:
+            if max(x1 - x0, y1 - y0) <= floor:
+                # unreduced cluster at resolution floor: report its center with
+                # the full multiplicity (coincident zeros to working precision)
+                found.append((complex((x0 + x1) / 2.0, (y0 + y1) / 2.0), m))
+                return
+            for frac in _SPLIT_FRACTIONS:
+                xm = x0 + (x1 - x0) * frac
+                ym = y0 + (y1 - y0) * frac
+                quads = ((x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1))
+                try:
+                    counts = [rect_count(*q) for q in quads]
+                except _ContourDip:
+                    continue
+                if sum(counts) != m:
+                    continue  # a zero straddles the cut; jitter and retry
+                for q, mq in zip(quads, counts):
+                    if mq:
+                        handle(*q, mq)
+                return
+            raise UnresolvedClusterError(
+                f"could not split cell [{x0:.8g},{x1:.8g}]x[{y0:.8g},{y1:.8g}] holding {m} zeros"
+            )
+
+        def handle(x0, x1, y0, y1, m) -> None:
+            leaf = None
+            if m <= _PENCIL_CAP:
+                cell_center = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
+                leaf = _leaf(fn, cell_center, 1.46 * max(x1 - x0, y1 - y0) / 2.0)
+            kept = [(w, k) for w, k in leaf or () if x0 <= w.real <= x1 and y0 <= w.imag <= y1]
+            if leaf is None or sum(k for _, k in kept) != m:
+                split(x0, x1, y0, y1, m)
+                return
+            found.extend(kept)
+
+        half = outer.radius * 1.0000019
+        for bump in range(9):
+            h = half * _NUDGE**bump
+            x0, x1, y0, y1 = center.real - h, center.real + h, center.imag - h, center.imag + h
             try:
-                counts = [rect_count(*q) for q in quads]
+                root_m = rect_count(x0, x1, y0, y1)
             except _ContourDip:
                 continue
-            if sum(counts) != m:
-                continue  # a zero straddles the cut; jitter and retry
-            for q, mq in zip(quads, counts):
-                if mq == 0:
-                    continue
-                handle(q[0], q[1], q[2], q[3], mq)
-            return
-        raise UnresolvedClusterError(
-            f"could not split cell [{x0:.8g},{x1:.8g}]x[{y0:.8g},{y1:.8g}] holding {m} zeros"
-        )
-
-    cluster_floor = 1e-11 * max(1.0, abs(center) + radius)
-
-    def handle(x0, x1, y0, y1, m) -> None:
-        cell_half = max(x1 - x0, y1 - y0) / 2.0
-        cell_center = complex((x0 + x1) / 2.0, (y0 + y1) / 2.0)
-        # circumcircle of the cell: if it holds exactly the cell's zeros it
-        # is an isolating circle and the centroid polish takes over
-        iso_r = cell_half * 1.46
-        try:
-            w, _conv = _centroid_retry(fn, cell_center, iso_r, m)
-        except (_CountMismatch, _ContourDip):
-            split(x0, x1, y0, y1, m)
-            return
-        loc, final_r = _polish(fn, cell_center, iso_r, w, m)
-        if m >= 2 and final_r > cluster_floor * 30:
-            # the enclosed zeros are separated, not coincident: keep splitting
-            split(x0, x1, y0, y1, m)
-            return
-        found.append((loc, m))
-
-    for bump in range(9):
-        h = half * _NUDGE**bump
-        try:
-            root_m = rect_count(center.real - h, center.real + h, center.imag - h, center.imag + h)
-        except _ContourDip:
-            continue
-        handle(center.real - h, center.real + h, center.imag - h, center.imag + h, root_m)
-        break
-    else:
-        raise ZeroOnContourError("could not place a dip-free bounding square")
+            handle(x0, x1, y0, y1, root_m)
+            break
+        else:
+            raise ZeroOnContourError("could not place a dip-free bounding square")
 
     inside = [(w, m) for w, m in found if abs(w - center) <= outer.radius]
     total = sum(m for _, m in inside)
@@ -497,13 +475,8 @@ def locate_zeros(
         )
     # residual sanity: each reported zero must actually kill the function
     for w, m in inside:
-        probe_r = 1e-6 * max(1.0, abs(w))
-        ring = fn(w + probe_r * np.exp(2j * math.pi * np.arange(8) / 8.0))
-        local_scale = float(np.abs(ring).max())
-        if local_scale > 0 and abs(fn(w)) > 1e-8 * local_scale:
-            raise UnresolvedClusterError(
-                f"reported zero {w:.8g} has |f| = {abs(fn(w)):.3g} against local scale {local_scale:.3g}"
-            )
+        if (ratio := _residual(fn, w)) > _RESIDUAL_TOL:
+            raise UnresolvedClusterError(f"reported zero {w:.8g} has |f| at {ratio:.3g} of its local scale")
     return ZeroSet(tuple(inside))
 
 
@@ -524,8 +497,8 @@ def jensen_check(f, radius: float, initial_samples: int = 256, zeros=None) -> tu
     The circle average doubles its sample count until two successive values
     agree to 1e-10; a zero numerically on the circle raises.  When `zeros`
     is given (any iterable of (location, multiplicity) pairs) the right side
-    is computed from that prescription; otherwise the zeros are located by
-    contour subdivision first.
+    is computed from that prescription; otherwise `locate_zeros` finds them
+    first.
     """
     fn = as_analytic(f)
     f0 = abs(fn(0j))

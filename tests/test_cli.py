@@ -1,6 +1,7 @@
 """End-to-end tests of the command line: exit codes, formats, determinism."""
 
 import json
+import random
 import re
 from pathlib import Path
 
@@ -76,6 +77,13 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["constants", "--C0", "2", "--sigma", "0"] + _CLASS, "sigma"),
     (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "1.5"], "delta"),
     (["zeros", "--preset", "custom", "--radius", "10"], "--preset custom requires --pair"),
+    (["verify", "theorem", "--pair", "{pair}", "--R", "-5", "--delta", "0.6"], "argument --R"),
+    (["constants", "--C0", "2", "--sigma", "1", "--eps", "-1"] + _CLASS, "argument --eps"),
+    (["verify", "theorem", "--eps", "-1"], "argument --eps"),
+    (["zeros", "--radius", "-1"], "argument --radius"),
+    (["jensen", "--radius", "0"], "argument --radius"),
+    (["verify", "lemma3", "--coeffs", "1,2", "--r", "-2"], "argument --r"),
+    (["verify", "theorem", "--poly-scale", "-1"], "argument --poly-scale"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
@@ -289,3 +297,123 @@ def test_jost_growth_fit_unit_kernel(tmp_path):
     assert float(data["rho"]) == pytest.approx(1.0, abs=0.05)
     assert float(data["sigma"]) == pytest.approx(1.0, abs=0.05)
     assert not data["degenerate"]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: the exit-code contract over random flags and input files
+# ---------------------------------------------------------------------------
+
+_BAD_VALUES = ["0", "-1", "-5", "nan", "inf", "-inf", "abc", "", "1e400", "3x", "0x0"]
+_CLASS_VALUES = {"--C0": ["2", "0.5"], "--C1": ["1"], "--rho": ["1", "1.5"],
+                 "--sigma": ["1", "0.03"], "--mu": ["1", "2"], "--r0": ["1"]}
+
+
+def _fuzz_inputs(tmp_path):
+    """Good pair, kernel and zero files, and a list of broken or absent ones."""
+    good = {"pair": tmp_path / "pair.json", "kernel": tmp_path / "kernel.json",
+            "zeros": tmp_path / "zeros.csv"}
+    save_pair_file(random_pair(3), str(good["pair"]))
+    save_kernel(Kernel.constant(1.0, 1.0), str(good["kernel"]))
+    ZeroSet.from_points([500.0 + 0j, -700j]).to_csv(str(good["zeros"]))
+    broken = {
+        "csv.json": "re,im,mult\n1.0,0.0,1\n", "nokeys.json": '{"shared_zeros": "s.csv"}',
+        "list.json": "[1, 2]", "str.json": '"x"', "empty.txt": "", "kind.json": '{"kind": "nope"}',
+        "knots.json": '{"kind": "piecewise"}', "field.csv": "re,im,mult\nx,1,1\n",
+        "short.csv": "re,im,mult\n1,2\n", "mult.csv": "re,im,mult\n1,2,1.5\n",
+    }
+    bad = [tmp_path / "absent.json", tmp_path, tmp_path / "bytes.bin"]
+    bad[2].write_bytes(b"\xff\xfe\x00\x01")
+    for name, text in broken.items():
+        (tmp_path / name).write_text(text)
+        bad.append(tmp_path / name)
+    return {k: str(v) for k, v in good.items()}, [str(p) for p in bad]
+
+
+def _fuzz_argv(rng, good, bad, out_dir):
+    def val(*valid):
+        return rng.choice(valid) if rng.random() < 0.75 else rng.choice(_BAD_VALUES)
+
+    def path(kind):
+        return good[kind] if rng.random() < 0.6 else rng.choice(bad)
+
+    cmd = rng.choice(["constants", "zeros", "jensen", "jost", "verify"])
+    if cmd == "constants":
+        argv = ["constants", "--delta", val("0.6667", "0.5")]
+        for flag, values in _CLASS_VALUES.items():
+            if rng.random() < 0.95:
+                argv += [flag, val(*values)]
+        if rng.random() < 0.5:
+            argv += ["--eps", val("1", "0.1")]
+        if rng.random() < 0.3:
+            argv += ["--p-override", val("1", "2", "3")]
+    elif cmd in ("zeros", "jensen"):
+        source = rng.choice(["kernel", "pair", "preset", "custom"])
+        if source == "kernel":
+            argv = [cmd, "--kernel", path("kernel"), "--radius", val("5", "12")]
+        else:
+            argv = [cmd, "--radius", val("50", "300")]
+        if source == "pair":
+            argv += ["--pair", path("pair"), "--R", val("400"), "--delta", val("0.6667")]
+        elif source == "preset":
+            argv += ["--seed", val("0", "3", "7"), "--component", val("1", "2")]
+        elif source == "custom":
+            argv += ["--preset", "custom"]
+        if cmd == "zeros" and rng.random() < 0.2:
+            argv += ["--center", val("1,1", "0")]
+    elif cmd == "jost":
+        argv = ["jost", "--kernel", path("kernel")]
+        mode = rng.choice(["--eval", "--ray-fit", "--growth-fit", None])
+        if mode == "--eval":
+            argv += ["--eval", val("1,0", "2,3")]
+        elif mode == "--ray-fit":
+            argv += ["--ray-fit", "--angle", val("1.5", "2"), "--rmin", val("2"), "--rmax", val("40")]
+        elif mode:
+            argv.append(mode)
+        if rng.random() < 0.3:
+            argv.append("--boost")
+    else:
+        which = rng.choice(["lemma2", "lemma3", "decomposition", "step5", "theorem", "remark5"])
+        argv = ["verify", which, "--grid", val("8x32", "6x16")]
+        if which == "lemma3":
+            if rng.random() < 0.5:
+                argv += ["--coeffs", val("0,1e-6", "1e-4,-2e-5,(1e-6+2e-7j)")]
+            else:
+                argv += ["--poly-seed", val("1", "11"), "--p", val("2", "3")]
+            argv += ["--r", val("2", "5"), "--mu", val("1", "2")]
+        elif which == "lemma2" and rng.random() < 0.4:
+            argv += ["--zeros", path("zeros"), "--R", val("60", "120")]
+        elif rng.random() < 0.5:
+            argv += ["--pair", path("pair"), "--R", val("400", "300"), "--delta", val("0.6667", "0.5")]
+        else:
+            argv += ["--seed", val("0", "3", "12"), "--poly-scale", val("1.5e-05", "0")]
+        if rng.random() < 0.3:
+            argv += ["--eps", val("1", "0.5")]
+        if rng.random() < 0.2:
+            argv += ["--format", rng.choice(["json", "csv"])]
+    if rng.random() < 0.1:
+        argv += ["--out", str(out_dir / "no_such_dir" / "out.txt")]
+    return argv
+
+
+def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path, capsys):
+    good, bad = _fuzz_inputs(tmp_path)
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(1000):
+        argv = _fuzz_argv(rng, good, bad, tmp_path)
+        try:
+            with np.errstate(all="ignore"):
+                rc = run(argv)
+        except Exception as exc:  # a traceback on the command line
+            pytest.fail(f"{argv} raised {exc!r}")
+        captured = capsys.readouterr()
+        seen.add(rc)
+        assert rc in (0, 1, 2, 64, 66, 73), argv
+        assert "Traceback" not in captured.err, argv
+        if rc == 1:
+            if "csv" in argv:
+                verdicts = [line.split(",")[1] for line in captured.out.splitlines()[1:]]
+            else:
+                verdicts = [r["verdict"] for r in json.loads(captured.out)]
+            assert "fail" in verdicts, argv
+    assert seen >= {0, 2, 64, 66, 73}

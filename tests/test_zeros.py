@@ -7,7 +7,8 @@ import pytest
 
 from zeroratio.constants import ClassParams
 from zeroratio.factors import ZeroSet
-from zeroratio.models import EntireModel
+from zeroratio import zeros as zeros_module
+from zeroratio.models import EntireModel, engineered_pair
 from zeroratio.report import PASS, PASS_UNMET
 from zeroratio.zeros import (
     AnalyticFn,
@@ -135,6 +136,65 @@ def test_locate_on_entire_model_matches_prescription():
     assert zs_out.total_multiplicity == 2
     for loc, _ in zs_in:
         assert min(abs(loc - f) for f, _ in zs_out) < 1e-8
+
+
+def assert_located(zs, expected):
+    """Exactly the expected (location, multiplicity) pairs, each within 1e-9."""
+    assert len(zs) == len(expected)
+    for loc, mult in expected:
+        found, found_mult = min(zs, key=lambda g: abs(g[0] - loc))
+        assert found_mult == mult
+        assert abs(found - loc) < 1e-9
+
+
+def test_locate_triple_zero():
+    fn = poly_fn(0.2 + 0.1j, 0.2 + 0.1j, 0.2 + 0.1j, -0.5, 0.6j)
+    zs = locate_zeros(fn, radius=1.0)
+    assert_located(zs, [(0.2 + 0.1j, 3), (-0.5, 1), (0.6j, 1)])
+
+
+def test_locate_separates_zeros_1e6_apart():
+    # the disk's pencil sees one double zero; the small polish circle splits it
+    pair = 0.3 + 0.2j
+    fn = poly_fn(pair, pair + 1e-6, -0.4j)
+    zs = locate_zeros(fn, radius=1.0)
+    assert_located(zs, [(pair, 1), (pair + 1e-6, 1), (-0.4j, 1)])
+
+
+def test_locate_twenty_roots_subdivides_past_the_cap():
+    rng = np.random.default_rng(20)
+    roots = rng.uniform(0.05, 0.95, 20) * np.exp(1j * rng.uniform(0, 2 * math.pi, 20))
+    assert len(roots) > zeros_module._PENCIL_CAP
+    zs = locate_zeros(poly_fn(*roots), radius=1.0)
+    assert_located(zs, [(r, 1) for r in roots])
+
+
+def test_locate_root_on_the_first_split_line(monkeypatch):
+    # twelve roots exceed the cap, so the bounding square of the disk is
+    # split, first through the center, which holds 0.37j and 0.55
+    roots = [0.37j, 0.55] + [0.7 * np.exp(1j * (0.3 + 0.6 * k)) for k in range(10)]
+    counted = []
+    count_rect = zeros_module._count_rect
+    monkeypatch.setattr(zeros_module, "_count_rect", lambda *a: counted.append(a[1:]) or count_rect(*a))
+    zs = locate_zeros(poly_fn(*roots), radius=1.0)
+    assert_located(zs, [(r, 1) for r in roots])
+    # the split through the center was tried and given up for a jittered one
+    x0, x1, _y0, _y1 = counted[0]
+    jittered = x0 + (x1 - x0) * zeros_module._SPLIT_FRACTIONS[1]
+    assert any(c[1] == 0.0 for c in counted) and any(c[1] == jittered for c in counted)
+
+
+def test_locate_engineered_pair_costs_few_evaluations_per_zero():
+    psi1 = engineered_pair(0).psi1
+    evaluations = []
+
+    def evaluate(z):
+        evaluations.append(len(z))
+        return psi1.evaluate(z)
+
+    zs = locate_zeros(AnalyticFn(evaluator=evaluate), radius=300.0)
+    assert_located(zs, [(w, m) for w, m in psi1.zeros if abs(w) < 300.0])
+    assert sum(evaluations) <= 1000 * len(zs)
 
 
 # ---------------------------------------------------------------------------
