@@ -88,7 +88,6 @@ from .verifier import (
     check_step5_bounds,
     check_theorem,
     default_disk_grid,
-    map_blocks,
 )
 from .zeros import (
     AnalyticFn,

@@ -185,9 +185,10 @@ def _number_range(cast, low: float, high: float, low_inclusive: bool = False):
 
 
 _parse_delta = _number_range(float, 0.0, 1.0)
-_parse_positive = _number_range(float, 0.0, math.inf)  # --R, --eps, --radius, --r
+_parse_positive = _number_range(float, 0.0, math.inf)  # --R, --eps, --radius, --r, --rmin, --rmax
 _parse_non_negative = _number_range(float, 0.0, math.inf, low_inclusive=True)  # --poly-scale
 _parse_seed = _number_range(int, 0, math.inf, low_inclusive=True)  # --seed, --poly-seed
+_parse_finite = _number_range(float, -math.inf, math.inf)  # --angle
 
 
 def _class_params(args) -> ClassParams:
@@ -267,6 +268,8 @@ def _cmd_jost(args) -> int:
             "value": [format_float(value.real), format_float(value.imag)],
         }
     elif args.ray_fit:
+        if args.rmin >= args.rmax:
+            raise _UsageError(f"--rmin {args.rmin:g} must lie below --rmax {args.rmax:g}")
         fit = ray_decay_fit(fn, angle=args.angle, r_min=args.rmin, r_max=args.rmax)
         payload = {
             "C1": format_float(fit.C1),
@@ -444,9 +447,9 @@ def build_parser() -> _Parser:
     pk.add_argument("--growth-fit", dest="growth_fit", action="store_true")
     pk.add_argument("--boost", action="store_true",
                     help="apply the decay-boost transform first")
-    pk.add_argument("--angle", type=float, default=float(np.pi / 2))
-    pk.add_argument("--rmin", type=float, default=2.0)
-    pk.add_argument("--rmax", type=float, default=400.0)
+    pk.add_argument("--angle", type=_parse_finite, default=float(np.pi / 2))
+    pk.add_argument("--rmin", type=_parse_positive, default=2.0)
+    pk.add_argument("--rmax", type=_parse_positive, default=400.0)
     pk.add_argument("--out", default=None)
     pk.set_defaults(handler=_cmd_jost)
 

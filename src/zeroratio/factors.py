@@ -160,6 +160,13 @@ def guard_radius(p: int) -> float:
 _GUARD_SLACK = 1.0 + 1e-12
 
 
+def require_guard(reach: float, p: int) -> None:
+    """Raise DomainError when |xi| = reach leaves the genus-p guard disk."""
+    radius = guard_radius(p)
+    if reach > radius * _GUARD_SLACK:
+        raise DomainError(f"|xi| = {reach:.6g} outside the genus-{p} guard radius {radius:.6g}")
+
+
 def _partial_sum(xi: np.ndarray, p: int) -> np.ndarray:
     """The degree-p partial sum xi + xi^2/2 + ... + xi^p/p of -log(1 - xi)."""
     partial = np.zeros_like(xi)
@@ -187,12 +194,8 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
         raise ParameterError("vectorized path requires genus >= 1")
     xi = np.asarray(xi, dtype=complex)
     mag = np.abs(xi)
+    require_guard(float(np.max(mag, initial=0.0)), p)
     radius = guard_radius(p)
-    if np.any(mag > radius * _GUARD_SLACK):
-        worst = float(mag.max())
-        raise DomainError(
-            f"|xi| = {worst:.6g} outside the genus-{p} guard radius {radius:.6g}"
-        )
     # The explicit branch subtracts the degree-p partial sum from log1p(-xi),
     # losing ~(p+1)(p+2)*eps*|xi| absolutely against a result of size
     # |xi|^(p+1)/(p+1).  Choosing the split so that split^p covers that loss
@@ -204,8 +207,9 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
     out = np.zeros_like(xi)
 
     small = mag <= split
+    del mag  # blocks of points x zeros are large: hold as few of them at once as possible
     if np.any(small):
-        xs = xi[small]
+        xs = xi if small.all() else xi[small]  # no copy in the common all-series case
         # term count from the geometric remainder of the tail series at the split
         terms = 8
         while (
@@ -216,7 +220,9 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
         acc = np.zeros_like(xs)
         for k in range(p + terms, p, -1):  # Horner in xi on 1/k coefficients
             acc = acc * xs + 1.0 / k
-        out[small] = -(xs ** (p + 1)) * acc
+        acc = -(xs ** (p + 1)) * acc
+        del xs
+        out[small] = acc.ravel()
     large = ~small
     if np.any(large):
         out[large] = _explicit_log(xi[large], p)
@@ -246,7 +252,7 @@ def log_primary_factor_full(xi: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-# Remainder left after the last power sum of a far-field expansion.
+# Remainder left after the last power sum of a far-field expansion, relative.
 _FAR_FIELD_TOL = 1e-17
 
 
@@ -255,19 +261,19 @@ def log_far_field(z: np.ndarray, locations: np.ndarray, multiplicities: np.ndarr
 
     log E_p(xi) = -sum_{k>p} xi^k/k, so the sum is -sum_{k>p} (z^k/k) S_k with
     S_k = sum_n m_n z_n^-k.  With q = max|z| / min|z_n| <= 1/2 and M the total
-    multiplicity, stopping at order K leaves at most M q^(K+1)/((K+1)(1-q)),
-    and K is the smallest order that puts this below _FAR_FIELD_TOL.  Powers
-    are taken of z/s and s/z_n with s = min|z_n|/2, which keeps both at or
-    below one; the cost is O(zeros*K + points*K).
+    multiplicity, the sum is at most M q^(p+1)/((p+1)(1-q)), and K is the
+    smallest order whose remainder M q^(K+1)/((K+1)(1-q)) is below
+    _FAR_FIELD_TOL times that bound, so tiny sums keep their relative
+    accuracy.  Powers are taken of z/s and s/z_n with s = min|z_n|/2, which
+    keeps both at or below one; the cost is O(zeros*K + points*K).
     """
     z = np.asarray(z, dtype=complex)
     s = 0.5 * float(np.min(np.abs(locations)))
     q = float(np.max(np.abs(z), initial=0.0)) / (2.0 * s)
     if q > 0.5:
         raise DomainError(f"far-field zeros need |z_n| >= 2 max|z|, got max|z|/min|z_n| = {q:.6g}")
-    mass = float(np.sum(multiplicities))
     K = p + 1
-    while mass * q ** (K + 1) / ((K + 1) * (1.0 - q)) > _FAR_FIELD_TOL:
+    while q ** (K - p) * (p + 1) / (K + 1) > _FAR_FIELD_TOL:
         K += 1
     ratios = s / locations
     powers = np.cumprod(np.broadcast_to(ratios, (K - p, len(ratios))), axis=0) * ratios**p
@@ -338,29 +344,29 @@ def tail_power_sum(spec: TailProductSpec) -> float:
 
 
 def log_tail_product_grid(spec: TailProductSpec, z: np.ndarray, block: int = 256) -> np.ndarray:
-    """Vectorized log tail product over an array of points.
+    """log tail product by the direct sum of primary-factor logs.
 
-    Zeros are consumed in fixed-order blocks with a compensated accumulator
-    across blocks, so results are deterministic and the rounding stays at the
-    few-ulp level even for thousands of factors.
+    This is the factor-by-factor reference that the decomposition identity
+    checks the model evaluator against.  Zeros are consumed in fixed-order
+    blocks with a compensated accumulator across blocks, so results are
+    deterministic and the rounding stays at the few-ulp level even for
+    thousands of factors.  Points go in chunks of 8192*256/block, which
+    bounds the points x zeros temporaries of a block.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     total = np.zeros_like(flat)
-    comp = np.zeros_like(flat)
     locs, mults = spec.zeros.locations(), spec.zeros.multiplicities().astype(float)
-    for start in range(0, len(locs), block):
-        ratios = flat[:, None] / locs[None, start : start + block]
-        logs = log_primary_factor_grid(ratios, spec.genus)
-        term = logs @ mults[start : start + block]
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    chunk = max(1, 8192 * 256 // block)
+    for i in range(0, len(flat) if len(locs) else 0, chunk):
+        pts = flat[i : i + chunk, None]
+        acc = comp = np.zeros(len(pts), dtype=complex)
+        for start in range(0, len(locs), block):
+            logs = log_primary_factor_grid(pts / locs[start : start + block], spec.genus)
+            y = logs @ mults[start : start + block] - comp
+            del logs  # before the next block's temporaries
+            t = acc + y
+            comp = (t - acc) - y
+            acc = t
+        total[i : i + chunk] = acc
     return total.reshape(z.shape)
-
-
-def tail_log_bound(spec: TailProductSpec, z_modulus: float) -> float:
-    """Analytic bound |log product| <= |z|^(p+1) * sum |z_n|^-(p+1)."""
-    k = spec.genus + 1
-    return z_modulus**k * tail_power_sum(spec)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .constants import ParameterError
 from .factors import cexpm1
-from .zeros import AnalyticFn
+from .zeros import AnalyticFn, doubling_circle
 
 
 class DivergenceError(RuntimeError):
@@ -563,10 +563,12 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     Circle maxima are collected over increasing radii until the list runs out
     or the evaluation blows past the representable range; a fast-growing
     function therefore stops early and the fit proceeds with the radii
-    already collected.  rho is the slope of loglog max-modulus against log r
-    over the upper half of the qualifying radii (those whose maximum exceeds
-    e), snapped to the nearest half integer when the raw slope lands within
-    0.12 of one.  Restricting to large radii and snapping both suppress the
+    already collected.  Each maximum samples 256 points and doubles them,
+    keeping the old ones, until two successive maxima agree within 0.1% or
+    4096 points are reached.  rho is the slope of loglog max-modulus against
+    log r over the upper half of the qualifying radii (those whose maximum
+    exceeds e), snapped to the nearest half integer when the raw slope lands
+    within 0.12 of one.  Restricting to large radii and snapping both suppress the
     lower-order corrections (algebraic prefactors such as 1/r) that bias a
     whole-range fit and, through the exponent, would poison sigma.  sigma is
     the least-squares slope of log max against r^rho over the same upper
@@ -583,17 +585,12 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
         raise ParameterError("radii must be positive")
 
     def circle_max(r: float) -> float:
-        n = 256
         prev = None
-        while True:
-            theta = 2.0 * math.pi * np.arange(n) / n
-            m = float(np.max(np.abs(np.asarray(evaluate(r * np.exp(1j * theta)), dtype=complex))))
+        for values in doubling_circle(evaluate, r, 256, 4096):
+            m = float(np.max(np.abs(values)))
             if prev is not None and abs(m - prev) <= 1e-3 * max(prev, 1e-300):
                 break
             prev = m
-            n *= 2
-            if n > 4096:
-                break
         return m
 
     used = []

@@ -119,10 +119,6 @@ class VerificationReport:
             return PASS_UNMET
         return PASS if self.observed <= self.bound else FAIL
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict != FAIL
-
     def to_json_dict(self) -> dict:
         return {
             "check": self.check,

@@ -10,6 +10,10 @@ the maximum modulus principle it lies on the boundary circle.  It is sampled
 twice: on the polar lattice of the grid, whose outer ring is that circle at N
 points, and on the circle alone at 2N points.  The report carries a
 grid-convergence precondition requiring the two maxima to agree within 1%.
+
+Tail products are finite canonical products, so they are evaluated as entire
+models; only the decomposition identity keeps the direct factor-by-factor sum,
+as its independent reference.
 """
 
 from __future__ import annotations
@@ -29,9 +33,9 @@ from .constants import (
     thresholds_r3_r4_r5,
     vandermonde_cofactors,
 )
-from .factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid
+from .factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid, require_guard
 from .grids import DiskGrid, segment_points
-from .models import PairBuild, count_compliance
+from .models import EntireModel, PairBuild, count_compliance
 from .report import Precondition, VerificationReport, precondition
 from .zeros import EvaluationError
 
@@ -45,25 +49,6 @@ _REFINE_TOL = 1e-2
 # ---------------------------------------------------------------------------
 # evaluation plumbing
 # ---------------------------------------------------------------------------
-
-
-def map_blocks(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    points: np.ndarray,
-    block: int = 8192,
-) -> np.ndarray:
-    """Apply a vectorized evaluator over fixed-size blocks of points.
-
-    Blocks are evaluated one after another in input order and concatenated;
-    the block size bounds the temporaries an evaluator builds per point (a
-    tail product holds a points x zeros array per step).
-    """
-    points = np.asarray(points)
-    if len(points) <= block:
-        return np.asarray(evaluate(points))
-    return np.concatenate(
-        [np.asarray(evaluate(points[i : i + block])) for i in range(0, len(points), block)]
-    )
 
 
 def default_disk_grid(rings: int = 8, spokes: int = 256) -> DiskGrid:
@@ -87,8 +72,8 @@ def _sampled_sups(
     pairs of the base pass, and the number of points evaluated.
     """
     grid = grid or default_disk_grid()
-    base = map_blocks(evaluate, grid.points(radius))
-    circle = map_blocks(evaluate, DiskGrid(1, 2 * grid.spokes).points(radius))
+    base = np.asarray(evaluate(grid.points(radius)))
+    circle = np.asarray(evaluate(DiskGrid(1, 2 * grid.spokes).points(radius)))
     ring_max = base.reshape(grid.rings, grid.spokes, *base.shape[1:]).max(axis=1)
     return (
         np.max(base, axis=0, initial=0.0).tolist(),
@@ -113,11 +98,15 @@ def _poly_delta(build: PairBuild, z: np.ndarray) -> np.ndarray:
     return build.psi2.poly_value(z) - build.psi1.poly_value(z)
 
 
-def _tail_log_ratio(build: PairBuild, z: np.ndarray) -> np.ndarray:
-    """log of Pi_1/Pi_2 at the given points (tail products over modulus >= R)."""
-    la = log_tail_product_grid(build.tail_spec_a(), z)
-    lb = log_tail_product_grid(build.tail_spec_b(), z)
-    return la - lb
+def _tail_log(tail: TailProductSpec, z: np.ndarray) -> np.ndarray:
+    """log Pi(R, z) of a tail product, by the model evaluator.
+
+    The tail bounds hold only while every |z/z_n| stays in the genus guard
+    disk, so points reaching past it raise DomainError.
+    """
+    if len(tail.zeros):
+        require_guard(float(np.max(np.abs(z), initial=0.0)) / tail.zeros.min_modulus(), tail.genus)
+    return EntireModel(genus=tail.genus, zeros=tail.zeros).log_value(z)
 
 
 def _ratio_minus_one(build: PairBuild, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +167,7 @@ def check_lemma2(
     tail = TailProductSpec(zeros=zeros, genus=p, cutoff=R)
 
     def magnitude(pts):
-        return np.abs(cexpm1(log_tail_product_grid(tail, pts)))
+        return np.abs(cexpm1(_tail_log(tail, pts)))
 
     sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, radius, grid)
     C2 = constant_C2(p, params.sigma, params.rho)
@@ -315,19 +304,20 @@ def check_decomposition(
     """Pointwise identity test of the exponent-difference decomposition.
 
     e^(g2-g1) - 1 must equal (psi2/psi1 - 1)*Pi1/Pi2 + (Pi1/Pi2 - 1) exactly;
-    the check evaluates both sides independently (full products on the left
-    path, honest division on the right) and reports the largest discrepancy
-    against a 1e-10 floor scaled by the magnitudes involved.  An identity
-    holds inside the disk as much as on its boundary, so the samples are the
-    whole polar lattice of the grid.  Near-zero denominators are excluded
-    with the count reported.
+    the check evaluates both sides independently (the exponents on the left;
+    honest division of the models and the direct factor-by-factor tail sum
+    on the right) and reports the largest discrepancy against a 1e-10 floor
+    scaled by the magnitudes involved.  An identity holds inside the disk as
+    much as on its boundary, so the samples are the whole polar lattice of
+    the grid.  Near-zero denominators are excluded with the count reported.
     """
     spec = build.spec
     radius = (build.p + 1) * spec.R ** (1.0 - spec.delta)
     pts = (grid or default_disk_grid()).points(radius)
 
     ratio_m1, keep = _ratio_minus_one(build, pts)
-    log_ratio = map_blocks(lambda z: _tail_log_ratio(build, z), pts)
+    log_ratio = (log_tail_product_grid(build.tail_spec_a(), pts)
+                 - log_tail_product_grid(build.tail_spec_b(), pts))
     pi_ratio = np.exp(log_ratio)
     pi_m1 = cexpm1(log_ratio)
     lhs = cexpm1(_poly_delta(build, pts))
@@ -428,7 +418,7 @@ def check_step5_bounds(
     # -- tail-product ratio on the wide disk ----------------------------------
     def ratio_mag_dev(pts):
         # one evaluation of log(Pi1/Pi2) gives both |Pi1/Pi2| and |Pi1/Pi2 - 1|
-        log_ratio = _tail_log_ratio(build, pts)
+        log_ratio = _tail_log(build.tail_spec_a(), pts) - _tail_log(build.tail_spec_b(), pts)
         return np.stack([np.abs(np.exp(log_ratio)), np.abs(cexpm1(log_ratio))], axis=1)
 
     (mag_base, dev_base), (mag_fine, dev_fine), wide_profile, wide_samples = _sampled_sups(

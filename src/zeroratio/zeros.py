@@ -252,6 +252,22 @@ _POLISH_RADIUS = 1e-4
 _RESIDUAL_TOL = 1e-8
 
 
+def doubling_circle(evaluate, radius: float, n: int, n_max: int):
+    """Yield evaluate on n equispaced points of |z| = radius, then on 2n, 4n,
+    ... up to n_max points, in angle order.
+
+    Each doubling evaluates only the new odd points 2*pi*(2k+1)/(2n), which
+    are bitwise the odd points of a fresh 2*pi*k/(2n) grid.
+    """
+    values = np.asarray(evaluate(radius * np.exp(1j * (2.0 * math.pi * np.arange(n) / n))))
+    yield values
+    while 2 * n <= n_max:
+        odd = evaluate(radius * np.exp(1j * (2.0 * math.pi * np.arange(1, 2 * n, 2) / (2 * n))))
+        values = np.stack([values, np.asarray(odd)], axis=1).ravel()
+        n *= 2
+        yield values
+
+
 def _circle_moments(fn: AnalyticFn, center: complex, radius: float) -> np.ndarray | None:
     """Moments s_0..s_{2m-1} of the m zeros inside |z - center| = radius.
 
@@ -264,10 +280,9 @@ def _circle_moments(fn: AnalyticFn, center: complex, radius: float) -> np.ndarra
     not settle within _MOMENT_SAMPLES; raises _ContourDip when |f| vanishes
     on the circle.
     """
-    n = 64
-    values = fn(center + radius * np.exp(2j * math.pi * np.arange(n) / n))
     prev = None
-    while True:
+    for values in doubling_circle(lambda w: fn(center + w), radius, 64, _MOMENT_SAMPLES):
+        n = len(values)
         if not np.all(np.isfinite(values)):
             raise EvaluationError("non-finite function value on moment circle")
         mags = np.abs(values)
@@ -293,11 +308,7 @@ def _circle_moments(fn: AnalyticFn, center: complex, radius: float) -> np.ndarra
             prev = s
         else:
             prev = None
-        if 2 * n > _MOMENT_SAMPLES:
-            return None
-        odd = fn(center + radius * np.exp(2j * math.pi * (np.arange(n) + 0.5) / n))
-        values = np.stack([values, odd], axis=1).ravel()
-        n *= 2
+    return None
 
 
 def _pencil(s: np.ndarray) -> list[tuple[complex, int]] | None:
@@ -489,28 +500,25 @@ class ZeroAtOriginError(RuntimeError):
     """Jensen comparison needs f(0) != 0."""
 
 
-def jensen_check(f, radius: float, initial_samples: int = 256, zeros=None) -> tuple[float, float]:
+def jensen_check(f, radius: float, zeros=None) -> tuple[float, float]:
     """Both sides of Jensen's identity on the circle of the given radius.
 
     Returns (mean of log|f| on the circle minus log|f(0)|,
     sum of multiplicity * log(radius/|zero|) over zeros inside).
-    The circle average doubles its sample count until two successive values
-    agree to 1e-10; a zero numerically on the circle raises.  When `zeros`
-    is given (any iterable of (location, multiplicity) pairs) the right side
-    is computed from that prescription; otherwise `locate_zeros` finds them
-    first.
+    The circle average starts at 256 samples and doubles them, keeping the
+    old ones, until two successive values agree to 1e-10; a zero numerically
+    on the circle raises.  When `zeros` is given (any iterable of (location,
+    multiplicity) pairs) the right side is computed from that prescription;
+    otherwise `locate_zeros` finds them first.
     """
     fn = as_analytic(f)
     f0 = abs(fn(0j))
     if f0 == 0.0:
         raise ZeroAtOriginError("f(0) = 0: Jensen comparison undefined")
-    n = max(64, initial_samples)
     prev = None
     lhs = None
     min_ratio = 1.0
-    while n <= 1 << 17:
-        theta = 2.0 * math.pi * np.arange(n) / n
-        values = fn(radius * np.exp(1j * theta))
+    for values in doubling_circle(fn, radius, 256, 1 << 17):
         if not np.all(np.isfinite(values)):
             raise EvaluationError("non-finite value on Jensen circle")
         mags = np.abs(values)
@@ -522,7 +530,6 @@ def jensen_check(f, radius: float, initial_samples: int = 256, zeros=None) -> tu
         if prev is not None and abs(lhs - prev) <= 1e-10 * (1.0 + abs(lhs)):
             break
         prev = lhs
-        n *= 2
     else:
         if min_ratio < 1e-12:
             # the average stalled while some sample kept collapsing: the

@@ -84,11 +84,16 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["jensen", "--radius", "0"], "argument --radius"),
     (["verify", "lemma3", "--coeffs", "1,2", "--r", "-2"], "argument --r"),
     (["verify", "theorem", "--poly-scale", "-1"], "argument --poly-scale"),
+    (["jost", "--kernel", "{kernel}", "--ray-fit", "--rmin", "-1"], "argument --rmin"),
+    (["jost", "--kernel", "{kernel}", "--ray-fit", "--rmax", "0"], "argument --rmax"),
+    (["jost", "--kernel", "{kernel}", "--ray-fit", "--angle", "nan"], "argument --angle"),
+    (["jost", "--kernel", "{kernel}", "--ray-fit", "--rmin", "5", "--rmax", "2"], "--rmin"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
     save_pair_file(random_pair(3), str(pair))
-    rc = run([str(pair) if a == "{pair}" else a for a in argv])
+    files = {"{pair}": str(pair), "{kernel}": kernel_file(tmp_path)}
+    rc = run([files.get(a, a) for a in argv])
     err = capsys.readouterr().err
     assert rc == 64
     assert flag in err
@@ -112,6 +117,19 @@ def test_zero_inside_cutoff_exits_2(tmp_path):
     rc = run(["verify", "lemma2", "--zeros", str(zpath), "--R", "60",
               "--grid", "12x32"])
     assert rc == 2
+
+
+def test_lemma2_disk_past_the_guard_exits_2(tmp_path, capsys):
+    """a*R^(1-delta) = 9*10^(1/3) reaches 1.6 times the nearest zero, past
+    the genus-1 guard radius 1/2 of the tail bound."""
+    zpath = tmp_path / "zeros.csv"
+    ZeroSet.from_points([12.0 + 0j, 15.0j]).to_csv(str(zpath))
+    rc = run(["verify", "lemma2", "--zeros", str(zpath), "--R", "10", "--a", "9",
+              "--p-override", "1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "outside the genus-1 guard radius 0.5" in err
+    assert "Traceback" not in err
 
 
 def test_unwritable_output_exits_73(tmp_path):

@@ -88,6 +88,30 @@ def test_log_far_field_rejects_zeros_closer_than_twice_the_points():
         log_far_field(np.array([2.1 + 0j]), locs, mults, 2)
 
 
+def test_log_far_field_keeps_relative_accuracy_of_tiny_sums():
+    """Against a 40-digit mpmath sum, per point, at genus 1-5 and
+    q = max|z|/min|z_n| from 1e-3 to 0.49, where the sum falls to ~1e-19.
+
+    The order K is chosen relative to the sum's a-priori bound; an absolute
+    stopping rule left only a term or two at q = 1e-3 and erred by 1e-3
+    relative there.
+    """
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(5)
+    locs = rng.uniform(1.0, 3.0, 40) * np.exp(1j * rng.uniform(0, 2 * math.pi, 40))
+    mults = rng.integers(1, 3, 40)
+    for p in range(1, 6):
+        for q in (1e-3, 1e-2, 0.1, 0.49):
+            z = q * np.min(np.abs(locs)) * np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
+            got = log_far_field(z, locs, mults, p)
+            for w, g in zip(z, got):
+                oracle = mpmath.mpc(0)
+                for loc, m in zip(locs, mults):
+                    xi = mpmath.mpc(w.real, w.imag) / mpmath.mpc(loc.real, loc.imag)
+                    oracle += int(m) * (mpmath.log(1 - xi) + sum(xi**k / k for k in range(1, p + 1)))
+                assert abs(g - complex(oracle)) <= 1e-13 * abs(complex(oracle)), (p, q)
+
+
 def test_guard_radius_values():
     assert guard_radius(1) == pytest.approx(0.5)
     assert guard_radius(3) == pytest.approx(0.75)
@@ -323,6 +347,21 @@ def test_tail_product_guard_violation_raises():
     spec = TailProductSpec(ZeroSet.from_points([10.0]), 1, 10.0)
     with pytest.raises(DomainError):
         log_tail_product_grid(spec, np.array([9.0 + 0j]))  # ratio 0.9 > 1/2 guard for genus 1
+
+
+def test_direct_tail_sum_goes_through_8192_point_chunks():
+    """A long batch equals, bitwise, its 8192-point slices evaluated apart,
+    and every point agrees with its lone evaluation to rounding."""
+    rng = np.random.default_rng(8)
+    locs = 50.0 * rng.uniform(1.0, 2.0, 300) * np.exp(1j * rng.uniform(0, 2 * math.pi, 300))
+    spec = TailProductSpec(ZeroSet.from_points(locs), 2, 50.0)
+    pts = 20.0 * rng.uniform(0.0, 1.0, 9000) * np.exp(1j * rng.uniform(0, 2 * math.pi, 9000))
+    whole = log_tail_product_grid(spec, pts)
+    assert np.array_equal(whole[:8192], log_tail_product_grid(spec, pts[:8192]))
+    assert np.array_equal(whole[8192:], log_tail_product_grid(spec, pts[8192:]))
+    for i in (0, 8191, 8192, 8999):
+        lone = log_tail_product_grid(spec, pts[i : i + 1])[0]
+        assert abs(whole[i] - lone) <= 1e-14 * abs(lone)
 
 
 def test_large_set_block_evaluation_consistency():

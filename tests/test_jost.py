@@ -18,6 +18,8 @@ from zeroratio.jost import (
     kernel_to_json,
     ray_decay_fit,
 )
+from zeroratio.factors import ZeroSet
+from zeroratio.models import EntireModel
 from zeroratio.zeros import count_zeros, locate_zeros
 
 UNIT = Kernel.constant(1.0, 1.0)  # K = 1 on [0, 1]
@@ -188,6 +190,28 @@ def test_growth_fit_superexp_order():
     # gamma = 2 gives order gamma/(gamma - 1) = 2
     fit = growth_fit(JostFn(Kernel.superexp(1.0, 2.0)).as_analytic_fn())
     assert abs(fit.rho - 2.0) <= 0.1
+
+
+def test_growth_fit_circles_keep_their_samples():
+    """Each circle maximum adds only the odd points when it doubles, and for
+    a batch-independent evaluator it is bitwise the maximum over a fresh
+    circle of the final sample count."""
+    # e^(z^3/1000) peaks sharply on the larger circles, so they need more than 512 points
+    model = EntireModel(genus=3, zeros=ZeroSet.from_points([30.0 + 5.0j, -70.0j]), poly=(0, 0, 0, 1e-3))
+    batches = {}
+
+    def evaluate(z):
+        batches.setdefault(round(float(abs(z[0])), 6), []).append(len(z))
+        return model.evaluate(z)
+
+    fit = growth_fit(evaluate, radii=[4.0, 8.0, 16.0, 31.0, 64.0])
+    assert len(batches) == len(fit.radii) + 1  # the small circle for C0
+    assert any(len(sizes) > 2 for sizes in batches.values())
+    for r, m in zip(fit.radii, fit.maxima):
+        sizes = batches[round(r, 6)]
+        assert sizes == [256] + [256 * 2**k for k in range(len(sizes) - 1)]
+        n = sum(sizes)
+        assert m == np.max(np.abs(model.evaluate(r * np.exp(1j * (2.0 * math.pi * np.arange(n) / n)))))
 
 
 def test_growth_fit_degenerate_for_flat_function():

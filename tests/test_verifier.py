@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zeroratio.constants import ClassParams, ParameterError, constant_Ap
-from zeroratio.factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid
-from zeroratio.models import PairSpec, build_pair, engineered_pair, random_pair
+from zeroratio.factors import DomainError, ZeroSet, cexpm1
+from zeroratio.models import EntireModel, PairSpec, build_pair, engineered_pair, random_pair
 from zeroratio.report import FAIL, PASS, PASS_UNMET
 from zeroratio.verifier import (
     check_decomposition,
@@ -54,9 +54,9 @@ def test_disk_sups_are_boundary_circle_maxima():
 
     radius = (p + 1) * spec.R ** (1.0 - spec.delta)
     rep = check_lemma2(spec.outer_a, spec.R, float(p + 1), p, spec.delta, spec.params, grid=grid)
-    tail = TailProductSpec(zeros=spec.outer_a, genus=p, cutoff=spec.R)
     circle = _boundary_circle(radius, 2 * grid.spokes)
-    assert rep.observed == np.max(np.abs(cexpm1(log_tail_product_grid(tail, circle))))
+    tail = EntireModel(genus=p, zeros=spec.outer_a)
+    assert rep.observed == np.max(np.abs(cexpm1(tail.log_value(circle))))
     assert rep.samples == expected_samples
 
     circle = _boundary_circle(spec.R ** (1.0 - spec.delta), 2 * grid.spokes)
@@ -140,6 +140,16 @@ def test_lemma2_rejects_zeros_inside_cutoff():
     with pytest.raises(ParameterError):
         check_lemma2(
             ZeroSet.from_points([30.0 + 0j]), R=60.0, a=3.0, p=2,
+            delta=2.0 / 3.0, params=_PARAMS, grid=_SMALL,
+        )
+
+
+def test_lemma2_raises_when_its_disk_leaves_the_guard():
+    """The tail bound needs |z/z_n| <= p/(p+1); a disk of radius 12*60^(1/3)
+    reaches 0.73 of the nearest zero at 64, past the genus-2 guard 2/3."""
+    with pytest.raises(DomainError, match="guard radius"):
+        check_lemma2(
+            ZeroSet.from_points([64.0 + 0j, 90.0j]), R=60.0, a=12.0, p=2,
             delta=2.0 / 3.0, params=_PARAMS, grid=_SMALL,
         )
 

@@ -238,6 +238,27 @@ def test_jensen_identity_on_products():
         assert abs(lhs - rhs) <= 1e-8 * (1.0 + abs(lhs)), f"trial {trial}"
 
 
+def test_jensen_keeps_its_samples_when_it_doubles():
+    """Each doubling evaluates only the new odd points, and lhs is bitwise the
+    mean over a fresh circle of the final sample count."""
+    roots = [1.9 + 0.5j, -1.2 - 1.5j, 0.4j]  # two zeros near |z| = 2 slow the average
+    fn = poly_fn(*roots)
+    batches = []
+
+    def evaluate(z):
+        batches.append(len(z))
+        return fn(z)
+
+    lhs, rhs = jensen_check(AnalyticFn(evaluator=evaluate), 2.0, zeros=[(w, 1) for w in roots])
+    circle = batches[1:]  # batches[0] is f(0)
+    n = sum(circle)
+    assert circle == [256] + [256 * 2**k for k in range(len(circle) - 1)]
+    assert n > 512
+    theta = 2.0 * math.pi * np.arange(n) / n
+    assert lhs == float(np.mean(np.log(np.abs(fn(2.0 * np.exp(1j * theta)))))) - math.log(abs(fn(0j)))
+    assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # the count bound
 # ---------------------------------------------------------------------------
