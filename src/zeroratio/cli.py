@@ -466,7 +466,8 @@ def build_parser() -> _Parser:
     common.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored; evaluation is single-threaded")
     common.add_argument("--poly-scale", dest="poly_scale", type=_parse_non_negative, default=0.0,
-                        help="inject polynomial exponents of this size into the preset pair")
+                        help="inject polynomial exponents g into the preset pair, with "
+                             "|g(z)|*|z|^mu at most this on the ray measurement window")
     common.add_argument("--out", default=None)
     common.add_argument("--plot-data", dest="plot_data", default=None,
                         help="write r,bound,observed CSV here")

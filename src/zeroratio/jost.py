@@ -4,11 +4,11 @@ A kernel K on [0, infinity) defines the function
 
     psi(z) = 1 + integral_0^infinity K(t) * exp(i z t) dt,
 
-entire whenever K decays fast enough.  Piecewise-polynomial kernels get an
-exact closed-form evaluation (integration by parts per piece, with a moment
-series taking over near z = 0); super-exponential kernels are integrated by
-an adaptive Gauss-Kronrod scheme batched over evaluation points.  The module
-also fits the two class parameters of such functions from samples: the ray
+entire whenever K decays fast enough.  Each kernel kind has one evaluator:
+piecewise-polynomial kernels the exact closed form (integration by parts per
+piece, with a moment series taking over near z = 0), super-exponential
+kernels an adaptive Gauss-Kronrod scheme batched over evaluation points.
+The module also fits the two class parameters of such functions from samples: the ray
 constants (C1, mu) of |psi - 1| along a ray and the growth triple
 (C0, sigma, rho) from circle maxima.
 """
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -121,23 +122,18 @@ class Kernel:
         return self.knots[-1] if self.kind == "piecewise" else math.inf
 
     def moment(self, n: int) -> float:
-        """integral of t^n * K(t) dt over the support; exact for piecewise."""
+        """integral of t^n * K(t) dt over the support, exact; piecewise kernels only."""
         if n < 0:
             raise ParameterError("moment order must be nonnegative")
-        if self.kind == "piecewise":
-            total = 0.0
-            for i, row in enumerate(self.coeffs):
-                a, b = self.knots[i], self.knots[i + 1]
-                for m, c in enumerate(row):
-                    k = m + n + 1
-                    total += c * (b**k - a**k) / k
-            return total
-        # superexp: substitute u = (t/2)^gamma to a rapidly convergent sum;
-        # plain adaptive quadrature is simpler and plenty accurate here
-        vals, errs = _gk_adaptive_real(
-            lambda t: self.value(t) * t**n, 0.0, self._superexp_cutoff(0.0), 1e-14
-        )
-        return vals
+        if self.kind != "piecewise":
+            raise ParameterError("moments are defined for piecewise kernels only")
+        total = 0.0
+        for i, row in enumerate(self.coeffs):
+            a, b = self.knots[i], self.knots[i + 1]
+            for m, c in enumerate(row):
+                k = m + n + 1
+                total += c * (b**k - a**k) / k
+        return total
 
     def _superexp_cutoff(self, growth: float) -> float:
         """T with C*exp(-(T/2)^gamma + growth*T) below 1e-18, by doubling."""
@@ -247,28 +243,6 @@ def _gk_panel_batch(kernel: Kernel, a: float, b: float, z: np.ndarray) -> tuple[
     return v15, np.abs(v15 - v7)
 
 
-def _gk_adaptive_real(func, a: float, b: float, tol: float) -> tuple[float, float]:
-    """Plain scalar adaptive GK for real integrands (kernel moments)."""
-    def panel(lo, hi):
-        half = (hi - lo) / 2.0
-        t = (lo + hi) / 2.0 + half * _NODES
-        ft = np.asarray(func(t), dtype=float)
-        return half * float(ft @ _W15), abs(half * float(ft @ (_W15 - _W7)))
-
-    work = [(a, b, *panel(a, b))]
-    for _ in range(2000):
-        total = sum(w[2] for w in work)
-        err = sum(w[3] for w in work)
-        if err <= tol * max(1.0, abs(total)):
-            return total, err
-        work.sort(key=lambda w: w[3])
-        lo, hi, _v, _e = work.pop()
-        mid = (lo + hi) / 2.0
-        work.append((lo, mid, *panel(lo, mid)))
-        work.append((mid, hi, *panel(mid, hi)))
-    raise DivergenceError("moment quadrature failed to converge")
-
-
 def _integrate_batch(kernel: Kernel, z: np.ndarray, tol: float) -> np.ndarray:
     """integral_0^T K(t) e^{izt} dt for a batch of z, shared adaptive panels."""
     z = np.asarray(z, dtype=complex).ravel()
@@ -337,47 +311,32 @@ def _integrate_batch(kernel: Kernel, z: np.ndarray, tol: float) -> np.ndarray:
 # below this |z| the closed form switches to the moment series
 _SERIES_RADIUS = 1e-4
 _SERIES_TERMS = 6
+# tolerance of the super-exponential quadrature, relative to max(1, |value|)
+_QUAD_TOL = 1e-12
 
 
 @dataclass
 class JostFn:
-    """psi(z) = 1 + integral of K(t) exp(izt), with a selectable evaluator.
+    """psi(z) = 1 + integral of K(t) exp(izt), one evaluator per kernel kind.
 
-    method "auto" resolves to the exact closed form for piecewise kernels and
-    to adaptive quadrature otherwise; "quadrature" can be forced on piecewise
-    kernels for cross-checking.
+    Piecewise kernels use the exact closed form; super-exponential kernels
+    the batched adaptive quadrature at relative tolerance _QUAD_TOL.
     """
 
     kernel: Kernel
-    method: str = "auto"
-    quad_tol: float = 1e-12
-    _moments: tuple[float, ...] | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.method not in ("auto", "closed-form", "quadrature"):
-            raise ParameterError(f"unknown method {self.method!r}")
-        if self.method == "closed-form" and self.kernel.kind != "piecewise":
-            raise ParameterError("closed form exists only for piecewise kernels")
-
-    @property
-    def resolved_method(self) -> str:
-        if self.method != "auto":
-            return self.method
-        return "closed-form" if self.kernel.kind == "piecewise" else "quadrature"
-
+    @cached_property
     def moments(self) -> tuple[float, ...]:
-        if self._moments is None:
-            self._moments = tuple(self.kernel.moment(n) for n in range(_SERIES_TERMS))
-        return self._moments
+        return tuple(self.kernel.moment(n) for n in range(_SERIES_TERMS))
 
     def evaluate(self, z):
         arr = np.asarray(z, dtype=complex)
         scalar = arr.ndim == 0
         flat = arr.ravel()
-        if self.resolved_method == "closed-form":
+        if self.kernel.kind == "piecewise":
             out = self._closed_form(flat)
         else:
-            out = self._quadrature(flat)
+            out = _integrate_batch(self.kernel, flat, _QUAD_TOL)
         out = out + 1.0
         if scalar:
             return complex(out[0])
@@ -386,12 +345,12 @@ class JostFn:
     __call__ = evaluate
 
     def as_analytic_fn(self) -> AnalyticFn:
-        return AnalyticFn(evaluator=lambda w: np.asarray(self.evaluate(w)), label="transform")
+        return AnalyticFn(evaluator=lambda w: np.asarray(self.evaluate(w)))
 
     # -- closed form ---------------------------------------------------------
 
     def _series(self, z: np.ndarray) -> np.ndarray:
-        moments = self.moments()
+        moments = self.moments
         out = np.zeros_like(z)
         fact = 1.0
         for n in range(_SERIES_TERMS):
@@ -419,7 +378,7 @@ class JostFn:
         """
         iz = 1j * z
         total = np.zeros_like(z)
-        for i, row in enumerate(self.coeffs_rows()):
+        for i, row in enumerate(self.kernel.coeffs):
             a, b = self.kernel.knots[i], self.kernel.knots[i + 1]
             eia = np.exp(iz * a)
             em1 = cexpm1(iz * (b - a))
@@ -435,16 +394,6 @@ class JostFn:
                     term = term + coef * ((b ** (m - l) - a ** (m - l)) + b ** (m - l) * em1)
                 total = total + c * eia * term
         return total
-
-    def coeffs_rows(self) -> tuple[tuple[float, ...], ...]:
-        return self.kernel.coeffs
-
-    # -- quadrature ----------------------------------------------------------
-
-    def _quadrature(self, z: np.ndarray) -> np.ndarray:
-        if len(z) == 0:
-            return np.zeros_like(z)
-        return _integrate_batch(self.kernel, z, self.quad_tol)
 
 
 def boost_ray_decay(jost: JostFn) -> AnalyticFn:
@@ -462,12 +411,16 @@ def boost_ray_decay(jost: JostFn) -> AnalyticFn:
         w = np.asarray(w, dtype=complex)
         return np.asarray(jost.evaluate(w)) + k0 / (1j * w)
 
-    return AnalyticFn(evaluator=evaluator, label="decay-boosted transform")
+    return AnalyticFn(evaluator=evaluator)
 
 
 # ---------------------------------------------------------------------------
 # asymptotic fits
 # ---------------------------------------------------------------------------
+
+
+# log-spaced radii of a ray fit; their geometric midpoints are checked too
+_RAY_SAMPLES = 48
 
 
 @dataclass(frozen=True)
@@ -483,18 +436,14 @@ class RayFit:
     slope: float
     degenerate: bool = False
 
-    def __iter__(self):
-        return iter((self.C1, self.mu))
-
 
 def ray_decay_fit(
     fn,
     angle: float = math.pi / 2.0,
     r_min: float = 2.0,
     r_max: float = 400.0,
-    samples: int = 48,
 ) -> RayFit:
-    """Fit (C1, mu) of the ray bound from log-spaced samples.
+    """Fit (C1, mu) of the ray bound from _RAY_SAMPLES log-spaced samples.
 
     The exponent is the least-squares slope of log|f - 1| against log r,
     rounded down to two decimals; C1 is then the envelope constant making the
@@ -505,7 +454,7 @@ def ray_decay_fit(
         raise ParameterError("need 0 < r_min < r_max")
     evaluate = fn.evaluate if hasattr(fn, "evaluate") else fn
     direction = np.exp(1j * angle)
-    radii = np.geomspace(r_min, r_max, samples)
+    radii = np.geomspace(r_min, r_max, _RAY_SAMPLES)
     mids = np.sqrt(radii[:-1] * radii[1:])
     all_r = np.concatenate([radii, mids])
     dist = np.abs(np.asarray(evaluate(all_r * direction), dtype=complex) - 1.0)
@@ -532,14 +481,13 @@ def ray_decay_fit(
     )
 
 
-def ray_envelope_constant(fn, angle: float, mu: float, r_min: float, r_max: float, samples: int = 96) -> float:
-    """Smallest C1 making |f - 1| <= C1 r^(-mu) hold at log-spaced samples."""
+def ray_envelope_constant(fn, angle: float, mu: float, radii: np.ndarray) -> float:
+    """Smallest C1 making |f - 1| <= C1 r^(-mu) hold at the given ray radii."""
     if mu <= 0:
         raise ParameterError("mu must be positive")
     evaluate = fn.evaluate if hasattr(fn, "evaluate") else fn
-    radii = np.geomspace(r_min, r_max, samples)
     vals = np.asarray(evaluate(radii * np.exp(1j * angle)), dtype=complex)
-    return float(np.max(np.abs(vals - 1.0) * radii**mu))
+    return float(np.max(np.abs(vals - 1.0) * radii**mu, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -552,9 +500,6 @@ class GrowthFit:
     radii: tuple[float, ...]
     maxima: tuple[float, ...]
     degenerate: bool = False
-
-    def __iter__(self):
-        return iter((self.C0, self.sigma, self.rho))
 
 
 def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:

@@ -4,25 +4,25 @@ An EntireModel is a finite canonical product z^n * exp(g(z)) * prod E_p(z/z_k)
 with explicit zero locations and multiplicities.  A matched pair is two such
 models that share every zero inside the disk B(0, R) and differ only in
 "outer" zeros of modulus >= R, which is exactly the configuration the ratio
-bound speaks about.  The builder measures the pair's actual ray constants on
-the window the proof evaluates, rather than taking the declared class
+bound speaks about.  The builder measures the pair's ray envelope constants
+on the window the proof evaluates, rather than taking the declared class
 parameters on faith, and refuses configurations whose zero counts exceed the
 admissible counting rate.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
 from .constants import ClassParams, ParameterError, select_p, threshold_r1
 from .factors import TailProductSpec, ZeroSet, log_far_field, log_primary_factor_full
-from .jost import NoDecayError, RayFit, ray_decay_fit, ray_envelope_constant
+from .jost import ray_envelope_constant
 from .report import format_float
 from .zeros import AnalyticFn
 
@@ -54,7 +54,6 @@ class EntireModel:
     zeros: ZeroSet
     origin_order: int = 0
     poly: tuple[complex, ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         if self.genus < 0:
@@ -108,10 +107,7 @@ class EntireModel:
     __call__ = evaluate
 
     def as_analytic_fn(self) -> AnalyticFn:
-        return AnalyticFn(
-            evaluator=lambda w: np.asarray(self.evaluate(w)),
-            label=self.label or "model",
-        )
+        return AnalyticFn(evaluator=lambda w: np.asarray(self.evaluate(w)))
 
     def count_within(self, radius: float) -> int:
         n = self.zeros.count_within(radius)
@@ -147,16 +143,6 @@ class CountCompliance:
     worst_radius: float
     worst_count: int
     worst_bound: float
-    checked_radii: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "margin": format_float(self.margin),
-            "worst_radius": format_float(self.worst_radius),
-            "worst_count": str(self.worst_count),
-            "worst_bound": format_float(self.worst_bound),
-        }
 
 
 def count_compliance(zeros: ZeroSet, params: ClassParams, origin_order: int = 0) -> CountCompliance:
@@ -165,7 +151,7 @@ def count_compliance(zeros: ZeroSet, params: ClassParams, origin_order: int = 0)
     moduli = zeros.moduli()
     mults = zeros.multiplicities()
     if len(moduli) == 0 and origin_order == 0:
-        return CountCompliance(True, math.inf, r1, 0, rate * r1**params.rho, 0)
+        return CountCompliance(True, math.inf, r1, 0, rate * r1**params.rho)
     cumulative = origin_order + np.cumsum(mults) if len(moduli) else np.array([origin_order])
     radii = [r1]
     counts = [origin_order + int(zeros.count_within(r1))]
@@ -182,7 +168,6 @@ def count_compliance(zeros: ZeroSet, params: ClassParams, origin_order: int = 0)
         worst_radius=radii[k],
         worst_count=counts[k],
         worst_bound=bounds[k],
-        checked_radii=len(radii),
     )
 
 
@@ -229,42 +214,19 @@ class MeasuredConstants:
     """A-posteriori constants of a constructed pair.
 
     envelope_C1_* is the smallest constant making |psi - 1| <= C1 * r^(-mu)
-    hold at the sampled window radii along the declared ray, with mu taken
-    from the declared class parameters.  fit_* is an unconstrained power-law
-    fit of the same samples (None when the samples do not decay, which is
-    common for finite products away from their zero-free window).
+    hold at 129 log-spaced radii of the measurement window along the declared
+    ray, with mu taken from the declared class parameters; compliance_* is
+    each zero set's count compliance.
     """
 
-    ray_angle: float
-    window_lo: float
-    window_hi: float
     envelope_C1_a: float
     envelope_C1_b: float
-    fit_a: RayFit | None
-    fit_b: RayFit | None
     compliance_a: CountCompliance
     compliance_b: CountCompliance
 
     @property
     def envelope_C1(self) -> float:
         return max(self.envelope_C1_a, self.envelope_C1_b)
-
-    def to_json_dict(self) -> dict:
-        def fit_dict(fit):
-            if fit is None:
-                return None
-            return {"C1": format_float(fit.C1), "mu": format_float(fit.mu)}
-
-        return {
-            "ray_angle": format_float(self.ray_angle),
-            "window": [format_float(self.window_lo), format_float(self.window_hi)],
-            "envelope_C1": [format_float(self.envelope_C1_a), format_float(self.envelope_C1_b)],
-            "ray_fit": [fit_dict(self.fit_a), fit_dict(self.fit_b)],
-            "count_compliance": [
-                self.compliance_a.to_json_dict(),
-                self.compliance_b.to_json_dict(),
-            ],
-        }
 
 
 @dataclass(frozen=True)
@@ -326,28 +288,14 @@ def build_pair(spec: PairSpec) -> PairBuild:
                 f"count bound violated for {name} at radius {comp.worst_radius:.6g}: "
                 f"n = {comp.worst_count} > {comp.worst_bound:.6g}"
             )
-    psi1 = EntireModel(genus=p, zeros=zeros1, poly=spec.poly_a, label="psi1")
-    psi2 = EntireModel(genus=p, zeros=zeros2, poly=spec.poly_b, label="psi2")
-
+    psi1 = EntireModel(genus=p, zeros=zeros1, poly=spec.poly_a)
+    psi2 = EntireModel(genus=p, zeros=zeros2, poly=spec.poly_b)
     lo, hi = measurement_window(R, spec.delta, p, spec.params.r0)
+    radii = np.geomspace(lo, hi, 129)
     mu = spec.params.mu
-    env1 = ray_envelope_constant(psi1, spec.ray_angle, mu, lo, hi, samples=129)
-    env2 = ray_envelope_constant(psi2, spec.ray_angle, mu, lo, hi, samples=129)
-
-    def opportunistic_fit(model):
-        try:
-            return ray_decay_fit(model, spec.ray_angle, lo, hi, samples=33)
-        except NoDecayError:
-            return None
-
     measured = MeasuredConstants(
-        ray_angle=spec.ray_angle,
-        window_lo=lo,
-        window_hi=hi,
-        envelope_C1_a=env1,
-        envelope_C1_b=env2,
-        fit_a=opportunistic_fit(psi1),
-        fit_b=opportunistic_fit(psi2),
+        envelope_C1_a=ray_envelope_constant(psi1, spec.ray_angle, mu, radii),
+        envelope_C1_b=ray_envelope_constant(psi2, spec.ray_angle, mu, radii),
         compliance_a=comp1,
         compliance_b=comp2,
     )
@@ -508,18 +456,21 @@ def engineered_pair(seed: int = 0, poly_scale: float = 0.0) -> PairBuild:
 def _engineered_polys(rng, scale: float, R: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Two tiny admissible polynomial exponents for the engineered pair.
 
-    Coefficients are scaled so that |g(z)| stays below `scale` on the whole
-    measurement window, keeping the decay envelope in the declared band while
-    making the polynomial-difference path nontrivial.
+    Coefficient j has modulus at most scale / ((p+1) * hi^(j+mu)), with hi the
+    top of the measurement window, so |g(z)| * |z|^mu <= scale on the whole
+    window.  That is the quantity the ray envelope |psi - 1| * r^mu measures,
+    so a small scale keeps the envelope in the declared band while making the
+    polynomial-difference path nontrivial.
     """
-    p = select_p(_ENGINEERED_PARAMS.rho, _ENGINEERED_PARAMS.mu, _ENGINEERED_DELTA)
+    mu = _ENGINEERED_PARAMS.mu
+    p = select_p(_ENGINEERED_PARAMS.rho, mu, _ENGINEERED_DELTA)
     hi = 1.1 * (p + 1) * R ** (1.0 - _ENGINEERED_DELTA)
 
     def draw():
         coeffs = []
         for j in range(p + 1):
-            mag = scale / ((p + 1) * hi**j)
-            coeffs.append(mag * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+            bound = scale / ((p + 1) * hi ** (j + mu))
+            coeffs.append(cmath.rect(bound * rng.uniform(0, 1), rng.uniform(0, 2 * math.pi)))
         return tuple(coeffs)
 
     return draw(), draw()

@@ -55,10 +55,6 @@ def _jsonify(value: Any) -> Any:
         return [_jsonify(v) for v in value]
     if value is None:
         return None
-    # dataclasses with their own serializer
-    to_dict = getattr(value, "to_json_dict", None)
-    if callable(to_dict):
-        return to_dict()
     return str(value)
 
 

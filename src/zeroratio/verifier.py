@@ -18,7 +18,6 @@ as its independent reference.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +27,7 @@ from .constants import (
     ParameterError,
     constant_Ap,
     constant_C2,
+    constant_C3,
     derive_constants,
     threshold_r2,
     thresholds_r3_r4_r5,
@@ -35,6 +35,7 @@ from .constants import (
 )
 from .factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid, require_guard
 from .grids import DiskGrid, segment_points
+from .jost import ray_envelope_constant
 from .models import EntireModel, PairBuild, count_compliance
 from .report import Precondition, VerificationReport, precondition
 from .zeros import EvaluationError
@@ -124,12 +125,6 @@ def _ratio_minus_one(build: PairBuild, z: np.ndarray) -> tuple[np.ndarray, np.nd
     out = np.zeros_like(v1)
     out[keep] = (v2[keep] - v1[keep]) / v1[keep]
     return out, keep
-
-
-def _segment_envelope(model, angle: float, radii: np.ndarray, mu: float) -> float:
-    """Smallest C with |model - 1| <= C r^(-mu) at the given ray radii."""
-    vals = np.asarray(model.evaluate(radii * np.exp(1j * angle)))
-    return float(np.max(np.abs(vals - 1.0) * radii**mu, initial=0.0))
 
 
 def _ray_nodes(r: float, p: int, count: int) -> np.ndarray:
@@ -372,8 +367,7 @@ def check_step5_bounds(
     a = float(p + 1)
     table = vandermonde_cofactors(p)
     Ap = constant_Ap(p, params.mu, table)
-    C2 = constant_C2(p, params.sigma, params.rho)
-    C3 = 2.0 * C2 * (p + 1) ** (p + 1)
+    C3 = constant_C3(p, params.sigma, params.rho)
     exponent = params.mu * (1.0 - delta)
     eta = params.C1 / R**exponent
     eta2 = C3 / R**params.mu
@@ -390,8 +384,8 @@ def check_step5_bounds(
     radii = _ray_nodes(base_r, p, segment_samples)
     radii_fine = _ray_nodes(base_r, p, 2 * segment_samples)
     direction = np.exp(1j * spec.ray_angle)
-    env1 = _segment_envelope(build.psi1, spec.ray_angle, radii_fine, params.mu)
-    env2 = _segment_envelope(build.psi2, spec.ray_angle, radii_fine, params.mu)
+    env1 = ray_envelope_constant(build.psi1, spec.ray_angle, params.mu, radii_fine)
+    env2 = ray_envelope_constant(build.psi2, spec.ray_angle, params.mu, radii_fine)
 
     def seg_sup(rr):
         """(sup, masked point count) of |psi2/psi1 - 1| on the ray radii."""

@@ -73,7 +73,6 @@ class AnalyticFn:
     """
 
     evaluator: Callable
-    label: str = ""
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zeroratio.jost import (
+    _integrate_batch,
     DivergenceError,
     JostFn,
     Kernel,
@@ -18,6 +19,7 @@ from zeroratio.jost import (
     kernel_to_json,
     ray_decay_fit,
 )
+from zeroratio.constants import ParameterError
 from zeroratio.factors import ZeroSet
 from zeroratio.models import EntireModel
 from zeroratio.zeros import count_zeros, locate_zeros
@@ -81,14 +83,17 @@ def test_moments_of_polynomial_kernel():
     assert kernel.support_end == pytest.approx(2.0)
 
 
+def test_superexp_kernel_has_no_moments():
+    with pytest.raises(ParameterError, match="piecewise kernels only"):
+        Kernel.superexp(1.0, 2.0).moment(0)
+
+
 def test_closed_form_matches_quadrature():
     rng = np.random.default_rng(3)
     kernel = Kernel.piecewise([0.0, 0.7, 1.5], [[1.0, -0.5], [0.25, 0.0, 0.125]])
-    closed = JostFn(kernel, method="closed-form")
-    quad = JostFn(kernel, method="quadrature")
     z = rng.uniform(-8, 8, 1000) + 1j * rng.uniform(-6, 6, 1000)
-    a = closed.evaluate(z)
-    b = quad.evaluate(z)
+    a = JostFn(kernel).evaluate(z)
+    b = 1.0 + _integrate_batch(kernel, z, 1e-12)
     rel = np.abs(a - b) / np.maximum(np.abs(a), 1e-300)
     assert float(np.max(rel)) <= 1e-10
 

@@ -293,6 +293,20 @@ def test_build_rejects_rate_violation_and_names_radius():
         )
 
 
+def test_pair_build_evaluates_only_the_two_ray_envelopes(monkeypatch):
+    spec = engineered_pair(0).spec
+    sizes = []
+    evaluate = EntireModel.evaluate
+
+    def counting(self, z):
+        sizes.append(int(np.size(z)))
+        return evaluate(self, z)
+
+    monkeypatch.setattr(EntireModel, "evaluate", counting)
+    build_pair(spec)
+    assert sizes == [129, 129]
+
+
 def test_measurement_window_covers_proof_segment():
     R, delta, p = 300.0, 0.9, 3
     lo, hi = measurement_window(R, delta, p, r0=1.0)
@@ -332,10 +346,11 @@ def test_engineered_pair_is_deterministic():
 
 
 def test_engineered_pair_accepts_small_polynomials():
-    build = engineered_pair(2, poly_scale=1e-5)
-    assert build.spec.poly_a and build.spec.poly_b
-    assert len(build.spec.poly_a) == build.p + 1
-    assert 1.0e-3 <= build.spec.params.C1 <= 2.0e-3
+    for seed in range(20):
+        build = engineered_pair(seed, poly_scale=1e-4)
+        assert build.spec.poly_a and build.spec.poly_b
+        assert len(build.spec.poly_a) == build.p + 1
+        assert 1.0e-3 <= build.spec.params.C1 <= 2.0e-3
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def poly_fn(*roots):
             out = out * (z - r)
         return out
 
-    return AnalyticFn(evaluator=evaluate, label="poly")
+    return AnalyticFn(evaluator=evaluate)
 
 
 def test_scalar_evaluator_raises_evaluation_error():
