@@ -26,9 +26,9 @@ constant went out of range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 TWO_E = 2.0 * math.e
 

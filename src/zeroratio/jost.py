@@ -7,7 +7,7 @@ A kernel K on [0, infinity) defines the function
 entire whenever K decays fast enough.  Each kernel kind has one evaluator:
 piecewise-polynomial kernels the exact closed form (integration by parts per
 piece, with a moment series taking over near z = 0), super-exponential
-kernels an adaptive Gauss-Kronrod scheme batched over evaluation points.
+kernels adaptive Gauss-Kronrod quadrature that refines each point's panels.
 The module also fits the two class parameters of such functions from samples: the ray
 constants (C1, mu) of |psi - 1| along a ray and the growth triple
 (C0, sigma, rho) from circle maxima.
@@ -135,37 +135,25 @@ class Kernel:
                 total += c * (b**k - a**k) / k
         return total
 
-    def _superexp_cutoff(self, growth: float) -> float:
-        """T with C*exp(-(T/2)^gamma + growth*T) below 1e-18, by doubling."""
-        target = math.log(1e-18 / self.C)
-        t = 4.0
-        for _ in range(64):
-            if -((t / 2.0) ** self.gamma) + growth * t + math.log(max(t, 1.0)) <= target:
-                return t
-            t *= 1.5
-        raise DivergenceError("kernel tail never drops below the quadrature floor")
+    def _superexp_cutoff(self, growth: np.ndarray) -> np.ndarray:
+        """Per growth rate, the first T = 4 * 1.5^k with T*C*exp(-(T/2)^gamma + growth*T) below 1e-18."""
+        t = 4.0 * 1.5 ** np.arange(64)
+        below = -((t / 2.0) ** self.gamma) + growth[:, None] * t + np.log(t) <= math.log(1e-18 / self.C)
+        if not np.all(np.any(below, axis=1)):
+            raise DivergenceError("kernel tail never drops below the quadrature floor")
+        return t[np.argmax(below, axis=1)]
 
     def tail_exponent_peak(self, growth: float) -> float:
-        """max over t >= 0 of -(t/2)^gamma + growth*t (superexp only)."""
-        if self.kind != "superexp":
-            return 0.0
-        if growth <= 0.0:
-            return 0.0
-        g = self.gamma
-        t_star = 2.0 * (2.0 * growth / g) ** (1.0 / (g - 1.0))
-        return -((t_star / 2.0) ** g) + growth * t_star
+        """max over t >= 0 of -(t/2)^gamma + growth*t for growth >= 0 (superexp only)."""
+        t_star = 2.0 * (2.0 * growth / self.gamma) ** (1.0 / (self.gamma - 1.0))
+        return -((t_star / 2.0) ** self.gamma) + growth * t_star
 
 
 def kernel_to_json(kernel: Kernel) -> dict:
     if kernel.kind == "piecewise":
-        out: dict = {"kind": "piecewise-polynomial"}
-        out["knots"] = list(kernel.knots)
-        out["coeffs"] = [list(row) for row in kernel.coeffs]
-    else:
-        out = {"kind": "super-exponential"}
-        out["gamma"] = kernel.gamma
-        out["C"] = kernel.C
-    return out
+        return {"kind": "piecewise-polynomial", "knots": list(kernel.knots),
+                "coeffs": [list(row) for row in kernel.coeffs]}
+    return {"kind": "super-exponential", "gamma": kernel.gamma, "C": kernel.C}
 
 
 _KIND_ALIASES = {
@@ -201,7 +189,7 @@ def save_kernel(kernel: Kernel, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Kronrod quadrature (7/15 pair), batched over evaluation points
+# Gauss-Kronrod quadrature (7/15 pair), adapted point by point
 # ---------------------------------------------------------------------------
 
 _XGK = np.array([
@@ -219,88 +207,110 @@ _WG = np.array([
     0.4179591836734694,
 ])
 
-# full node/weight vectors on [-1, 1]
+# nodes on [-1, 1], the negative ones first; the pair weights count the
+# center node, which pairs with itself, at half weight
 _NODES = np.concatenate([-_XGK[:-1], [0.0], _XGK[:-1][::-1]])
-_W15 = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[:-1][::-1]])
-_W7 = np.zeros(15)
-_W7[1:14:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[:-1][::-1]])
+_WGK_PAIRS, _WG_PAIRS = (np.append(w[:-1], w[-1] / 2.0) for w in (_WGK, _WG))
+
+# new panels are evaluated this many at a time, so the node arrays stay small
+_ROW_CHUNK = 1024
 
 
-def _gk_panel_batch(kernel: Kernel, a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """15-point Kronrod value and |K15 - G7| error of one panel, batched in z."""
-    half = (b - a) / 2.0
-    mid = (a + b) / 2.0
-    t = mid + half * _NODES
-    kt = np.asarray(kernel.value(t), dtype=float)
-    # form K(t) * exp(izt) through the log of the magnitude: past the
-    # integrand peak the phase factor alone overflows while the kernel
-    # underflows, and the direct product would turn into inf * 0
-    with np.errstate(divide="ignore"):
-        log_mag = np.outer(-z.imag, t) + np.log(np.abs(kt))[None, :]
-    contrib = np.exp(log_mag + 1j * np.outer(z.real, t)) * np.sign(kt)[None, :]
-    v15 = half * (contrib @ _W15)
-    v7 = half * (contrib @ _W7)
-    return v15, np.abs(v15 - v7)
+def _gk_rows(kernel: Kernel, z: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """K15 value, |K15 - G7| error and L1 mass of panel [lo, hi] against z, per row.
+
+    With a = Re z, h the half width and m = K(t) e^{-t Im z}, the node pair
+    mid -+ h x_j contributes e^{i a mid} [cos(a h x_j) (m_- + m_+) -
+    i sin(a h x_j) (m_- - m_+)]: one sine and cosine per pair, one rotation per row.
+    """
+    half = (hi - lo) / 2.0
+    mid = (lo + hi) / 2.0
+    t = mid + half * _NODES[:, None]
+    # m is formed in the exponent: past the integrand peak e^{-t Im z} alone
+    # overflows while K underflows, and the direct product would be inf * 0
+    if kernel.kind == "superexp":
+        m = np.exp(math.log(kernel.C) - (t / 2.0) ** kernel.gamma - z.imag * t)
+    else:
+        kt = kernel.value(t)
+        with np.errstate(divide="ignore"):
+            m = np.sign(kt) * np.exp(np.log(np.abs(kt)) - z.imag * t)
+    # per node pair, the center paired with itself: the cos-weighted sum, the
+    # sin-weighted difference and the mass
+    theta = z.real * half * _XGK[:, None]
+    m_neg, m_pos = m[:8], m[:6:-1]
+    q = np.stack([np.cos(theta) * (m_neg + m_pos), np.sin(theta) * (m_neg - m_pos), np.abs(m_neg) + np.abs(m_pos)], axis=1)
+    # summed node by node, not by a matrix product, so that every row gets
+    # the same arithmetic whatever rows share its batch
+    a15, b15, mass = half * sum(w * qj for w, qj in zip(_WGK_PAIRS, q))
+    a7, b7 = half * sum(w * qj for w, qj in zip(_WG_PAIRS, q[1::2, :2]))
+    v15 = np.exp(1j * z.real * mid) * (a15 - 1j * b15)
+    return v15, np.abs((a15 - a7) - 1j * (b15 - b7)), mass
 
 
 def _integrate_batch(kernel: Kernel, z: np.ndarray, tol: float) -> np.ndarray:
-    """integral_0^T K(t) e^{izt} dt for a batch of z, shared adaptive panels."""
+    """integral_0^T K(t) e^{izt} dt for a batch of z, each point on its own panels.
+
+    A point starts on [0, T(z)] (at the knots of a piecewise kernel), cut to
+    a few oscillations of e^{izt} per panel.  Each round every unfinished
+    point splits the panels whose error exceeds a quarter of its mean panel
+    error, and one vectorized pass evaluates all new panels.  A point is done
+    when its summed error is below tol * max(1, |value|) or below the
+    roundoff floor 32 eps M(z), with M(z) = integral |K(t) e^{izt}| dt its
+    L1 mass: no more can be certified where the integral cancels.  A value
+    thus depends on its own point alone, not on the rest of the batch.
+    """
     z = np.asarray(z, dtype=complex).ravel()
-    growth = float(np.max(-z.imag, initial=0.0))
+    n = len(z)
     if kernel.kind == "superexp":
-        peak = kernel.tail_exponent_peak(growth) + math.log(kernel.C)
+        growth = np.maximum(-z.imag, 0.0)
+        peak = kernel.tail_exponent_peak(float(np.max(growth, initial=0.0))) + math.log(kernel.C)
         if peak > 690.0:
-            raise DivergenceError(
-                f"integrand peak exp({peak:.1f}) exceeds double-precision range"
-            )
+            raise DivergenceError(f"integrand peak exp({peak:.1f}) exceeds double-precision range")
         T = kernel._superexp_cutoff(growth)
-        seeds = [0.0, T]
+        knots = np.column_stack([np.zeros(n), T])
     else:
-        T = kernel.support_end
-        seeds = sorted(set(k for k in kernel.knots if 0.0 <= k <= T))
-        if seeds[0] > 0.0:
-            seeds.insert(0, 0.0)
+        seeds = ((0.0,) if kernel.knots[0] > 0.0 else ()) + kernel.knots
+        knots = np.broadcast_to(seeds, (n, len(seeds)))
+        T = knots[:, -1]
     # seed panel width follows the oscillation scale of exp(izt)
-    osc = float(np.max(np.abs(z), initial=0.0))
-    width_cap = max(T / 4096.0, min(T, 6.0 / (1.0 + osc / 3.0)))
-    bounds: list[float] = []
-    for lo, hi in zip(seeds, seeds[1:]):
-        n_sub = max(1, int(math.ceil((hi - lo) / width_cap)))
-        bounds.extend(lo + (hi - lo) * k / n_sub for k in range(n_sub))
-    bounds.append(T)
+    width_cap = np.maximum(T / 4096.0, np.minimum(T, 6.0 / (1.0 + np.abs(z) / 3.0)))
+    a, b = knots[:, :-1].ravel(), knots[:, 1:].ravel()
+    n_sub = np.ceil((b - a) / np.repeat(width_cap, knots.shape[1] - 1)).astype(int)
+    piece = np.repeat(np.arange(len(a)), n_sub)
+    k = np.arange(len(piece)) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    # the panel table, one column per panel: point, lo, hi, Re K15, Im K15,
+    # |K15 - G7| and L1 mass; a point's columns are ordered by its own history
+    tab = np.zeros((7, len(piece)))
+    tab[0] = piece // (knots.shape[1] - 1)
+    tab[1] = a[piece] + (b - a)[piece] * k / n_sub[piece]
+    tab[2] = np.where(k + 1 == n_sub[piece], b[piece], a[piece] + (b - a)[piece] * (k + 1) / n_sub[piece])
 
-    panels: list[tuple[float, float, np.ndarray, np.ndarray]] = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        v, e = _gk_panel_batch(kernel, lo, hi, z)
-        panels.append((lo, hi, v, e))
-
+    out = np.empty(n, dtype=complex)
+    fresh = 0
     for _round in range(64):
-        total = np.sum([p[2] for p in panels], axis=0)
-        err = np.sum([p[3] for p in panels], axis=0)
-        # a total that cancels far below the unsigned panel mass cannot be
-        # certified more tightly than summation roundoff, so the goal never
-        # drops below that floor
-        mass = np.sum([np.abs(p[2]) for p in panels], axis=0)
-        floor = 32.0 * np.finfo(float).eps * mass
-        goal = np.maximum(tol * np.maximum(1.0, np.abs(total)), floor)
-        if np.all(err <= goal):
-            return total
-        if len(panels) > 16384:
+        for s in range(fresh, tab.shape[1], _ROW_CHUNK):
+            p, lo, hi, re, im, err, mass = tab[:, s:s + _ROW_CHUNK]
+            v15, err[:], mass[:] = _gk_rows(kernel, z[p.astype(int)], lo, hi)
+            re[:], im[:] = v15.real, v15.imag
+        pt = tab[0].astype(int)
+        re_sum, im_sum, err_sum, mass_sum = (np.bincount(pt, x, n) for x in tab[3:])
+        count = np.bincount(pt, minlength=n)
+        total = re_sum + 1j * im_sum
+        goal = np.maximum(tol * np.maximum(1.0, np.abs(total)), 32.0 * np.finfo(float).eps * mass_sum)
+        done = (count > 0) & (err_sum <= goal)
+        out[done] = total[done]
+        live = ~done[pt]
+        if not np.any(live):
+            return out
+        if np.any(count[~done] > 16384):
             break
-        # split every panel whose own error visibly feeds a failing point
-        failing = err > goal
-        budget = np.max(err[failing]) / max(len(panels), 1)
-        new_panels = []
-        for lo, hi, v, e in panels:
-            if float(np.max(e[failing], initial=0.0)) > budget * 0.25 and hi - lo > 1e-12 * T:
-                mid = (lo + hi) / 2.0
-                v1, e1 = _gk_panel_batch(kernel, lo, mid, z)
-                v2, e2 = _gk_panel_batch(kernel, mid, hi, z)
-                new_panels.append((lo, mid, v1, e1))
-                new_panels.append((mid, hi, v2, e2))
-            else:
-                new_panels.append((lo, hi, v, e))
-        panels = new_panels
+        # split every panel that carries more than a quarter of its point's
+        # mean panel error; the halves go to the end of the table
+        split = live & (tab[5] > 0.25 * err_sum[pt] / count[pt]) & (tab[2] - tab[1] > 1e-12 * T[pt])
+        left, right = tab[:, split], tab[:, split]
+        left[2] = right[1] = (left[1] + left[2]) / 2.0
+        fresh = int(np.count_nonzero(live & ~split))
+        tab = np.concatenate([tab[:, live & ~split], left, right], axis=1)
     raise DivergenceError("transform quadrature failed to reach tolerance")
 
 
@@ -319,8 +329,10 @@ _QUAD_TOL = 1e-12
 class JostFn:
     """psi(z) = 1 + integral of K(t) exp(izt), one evaluator per kernel kind.
 
-    Piecewise kernels use the exact closed form; super-exponential kernels
-    the batched adaptive quadrature at relative tolerance _QUAD_TOL.
+    Piecewise kernels use the exact closed form.  Super-exponential kernels
+    use the adaptive quadrature of _integrate_batch: its error is at most
+    _QUAD_TOL * max(1, |psi|), or its roundoff floor 32 eps M(z) where the
+    integral cancels.  Near arg z = -3pi/4 that floor outgrows |psi| itself.
     """
 
     kernel: Kernel
@@ -331,16 +343,11 @@ class JostFn:
 
     def evaluate(self, z):
         arr = np.asarray(z, dtype=complex)
-        scalar = arr.ndim == 0
-        flat = arr.ravel()
         if self.kernel.kind == "piecewise":
-            out = self._closed_form(flat)
+            out = 1.0 + self._closed_form(arr.ravel())
         else:
-            out = _integrate_batch(self.kernel, flat, _QUAD_TOL)
-        out = out + 1.0
-        if scalar:
-            return complex(out[0])
-        return out.reshape(arr.shape)
+            out = 1.0 + _integrate_batch(self.kernel, arr, _QUAD_TOL)
+        return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     __call__ = evaluate
 
@@ -350,13 +357,9 @@ class JostFn:
     # -- closed form ---------------------------------------------------------
 
     def _series(self, z: np.ndarray) -> np.ndarray:
-        moments = self.moments
         out = np.zeros_like(z)
-        fact = 1.0
-        for n in range(_SERIES_TERMS):
-            if n > 0:
-                fact *= n
-            out = out + moments[n] * (1j * z) ** n / fact
+        for n, moment in enumerate(self.moments):
+            out = out + moment * (1j * z) ** n / math.factorial(n)
         return out
 
     def _closed_form(self, z: np.ndarray) -> np.ndarray:
@@ -386,11 +389,8 @@ class JostFn:
                 if c == 0.0:
                     continue
                 term = np.zeros_like(z)
-                fall = 1.0  # falling factorial m!/(m-l)!
                 for l in range(m + 1):
-                    if l > 0:
-                        fall *= m - l + 1
-                    coef = (-1.0) ** l * fall / iz ** (l + 1)
+                    coef = (-1.0) ** l * math.perm(m, l) / iz ** (l + 1)
                     term = term + coef * ((b ** (m - l) - a ** (m - l)) + b ** (m - l) * em1)
                 total = total + c * eia * term
         return total

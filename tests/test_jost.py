@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from zeroratio import jost as jost_module
 from zeroratio.jost import (
     _integrate_batch,
     DivergenceError,
@@ -105,6 +106,49 @@ def test_superexp_imaginary_axis_against_erfc():
     for y in (0.5, 2.0, 10.0):
         oracle = 1 + mpmath.sqrt(mpmath.pi) * mpmath.exp(y**2) * mpmath.erfc(y)
         assert complex(jost.evaluate(1j * y)) == pytest.approx(complex(oracle), rel=1e-11)
+
+
+def test_superexp_agrees_with_faddeeva_form_in_every_direction():
+    """gamma = 2: psi(z) = 1 + sqrt(pi) e^{-z^2} erfc(-iz).  Where the
+    real-axis integral cancels, only the roundoff floor of its L1 mass
+    M(z) = sqrt(pi) e^{y^2} erfc(y), y = Im z, can be certified."""
+    mpmath.mp.dps = 30
+    eps = np.finfo(float).eps
+    jost = JostFn(Kernel.superexp(1.0, 2.0))
+    for r in (0.5, 2.0, 4.0, 6.0, 8.0):
+        z = r * np.exp(2j * math.pi * np.arange(32) / 32)
+        for w, value in zip(z, jost.evaluate(z)):
+            zm = mpmath.mpc(w.real, w.imag)
+            ref = complex(1 + mpmath.sqrt(mpmath.pi) * mpmath.exp(-zm**2) * mpmath.erfc(-1j * zm))
+            y = mpmath.mpf(w.imag)
+            mass = float(mpmath.sqrt(mpmath.pi) * mpmath.exp(y**2) * mpmath.erfc(y))
+            assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)) + 64 * eps * mass, w
+
+
+@pytest.mark.parametrize("gamma", [2.0, 3.0])
+def test_superexp_values_do_not_depend_on_the_batch(gamma):
+    jost = JostFn(Kernel.superexp(1.0, gamma))
+    z = 6.0 * np.exp(2j * math.pi * (np.arange(64) + 0.5) / 64)
+    together = jost.evaluate(z)
+    alone = np.array([jost.evaluate(w) for w in z])
+    split = np.concatenate([jost.evaluate(z[:20]), jost.evaluate(z[20:])])
+    assert np.array_equal(together, alone)
+    assert np.array_equal(together, split)
+
+
+def test_superexp_points_refine_only_their_own_panels(monkeypatch):
+    """A 256-point circle at r = 8 costs at most 20,000 point-panel pairs;
+    panels shared by the whole batch cost 109,056."""
+    rows = []
+    gk_rows = jost_module._gk_rows
+
+    def counting(kernel, z, lo, hi):
+        rows.append(len(lo))
+        return gk_rows(kernel, z, lo, hi)
+
+    monkeypatch.setattr(jost_module, "_gk_rows", counting)
+    JostFn(Kernel.superexp(1.0, 2.0)).evaluate(8.0 * np.exp(2j * math.pi * np.arange(256) / 256))
+    assert 0 < sum(rows) <= 20000
 
 
 def test_divergence_error_below_convergence_region():
