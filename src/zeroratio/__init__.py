@@ -19,7 +19,6 @@ from .constants import (
     derive_constants,
     final_exponent,
     select_p,
-    threshold_R0,
     threshold_c,
     threshold_r1,
     threshold_r2,
@@ -36,7 +35,6 @@ from .factors import (
     log_primary_factor_grid,
     log_tail_product_grid,
     primary_factor_grid,
-    tail_power_sum,
 )
 from .grids import DiskGrid, parse_disk_grid, segment_points
 from .jost import (

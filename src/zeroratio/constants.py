@@ -18,15 +18,15 @@ The derived objects are:
   * the Cramer amplification constant A_p with its exact Vandermonde data,
   * the final activation radius R0(eps, delta) with its two-stage reduction.
 
-Thresholds that overflow double precision are reported as +inf together with
-a warning string rather than raising, so that a caller can still see which
-constant went out of range.
+A threshold power that overflows double precision is +inf rather than an
+OverflowError, and DerivedConstants.warnings names every threshold that is
++inf, so that a caller can still see which constant went out of range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -122,9 +122,17 @@ def select_p(rho: float, mu: float, delta: float) -> int:
     return p
 
 
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent, or +inf where that overflows double precision."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def threshold_c(params: ClassParams) -> float:
     """Radius past which the ray bound forces |psi| >= 1/2 on the ray."""
-    return max(params.r0, (2.0 * params.C1) ** (1.0 / params.mu))
+    return max(params.r0, _pow(2.0 * params.C1, 1.0 / params.mu))
 
 
 def threshold_r1(params: ClassParams) -> float:
@@ -137,7 +145,7 @@ def threshold_r1(params: ClassParams) -> float:
     ln2c0 = math.log(2.0 * params.C0)
     jensen_radius = 0.0
     if ln2c0 > 0.0:
-        jensen_radius = (ln2c0 / params.sigma) ** (1.0 / params.rho) / TWO_E
+        jensen_radius = _pow(ln2c0 / params.sigma, 1.0 / params.rho) / TWO_E
     return max(threshold_c(params), jensen_radius)
 
 
@@ -169,8 +177,8 @@ def threshold_r2(a: float, p: int, delta: float, params: ClassParams) -> float:
         raise ParameterError("a must be positive")
     _check_delta(delta)
     c2 = constant_C2(p, params.sigma, params.rho)
-    guard = (a * (p + 1) / p) ** (1.0 / delta)
-    smallness = (c2 * a ** (p + 1) / math.log(2.0)) ** (1.0 / params.mu)
+    guard = _pow(a * (p + 1) / p, 1.0 / delta)
+    smallness = _pow(c2 * _pow(a, p + 1) / math.log(2.0), 1.0 / params.mu)
     return max(threshold_r1(params), guard, smallness)
 
 
@@ -179,20 +187,6 @@ def _check_genus(p: int) -> None:
         raise ParameterError(f"genus must be an integer, got {p!r}")
     if p < 1 or p > MAX_GENUS:
         raise ParameterError(f"genus must lie in 1..{MAX_GENUS}, got {p}")
-
-
-def _pow_guarded(base: float, exponent: float, warnings: list[str], label: str) -> float:
-    """base**exponent, turning overflow into +inf plus a warning entry."""
-    if base < 0:
-        raise ParameterError(f"{label}: negative base {base!r}")
-    try:
-        value = base**exponent
-    except OverflowError:
-        warnings.append(f"{label}: {OVERFLOW_WARNING}")
-        return math.inf
-    if math.isinf(value):
-        warnings.append(f"{label}: {OVERFLOW_WARNING}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -414,39 +408,35 @@ def thresholds_r3_r4_r5(
     delta: float,
     params: ClassParams,
     table: CofactorTable | None = None,
-    warnings: list[str] | None = None,
 ) -> tuple[float, float, float]:
     """The three large activation radii of the ratio comparison.
 
     r3 = max(r2 at a = p+1, (6*C2*(p+1)^(p+1))^(1/mu)) keeps the ratio-tail
     error eta2 below 1/3; r4 = (36*C1*A_p)^(1/(mu*(1-delta))) keeps the
     amplified segment bound below 1/2; r5 = (2*(p+1)^(p+1)*C2/C1)^(1/(mu*delta))
-    makes the tail error dominated by the ray error.  Any radius that
-    overflows double precision is returned as +inf with a warning recorded.
+    makes the tail error dominated by the ray error.  A radius that overflows
+    double precision is +inf.
     """
     _check_delta(delta)
-    if warnings is None:
-        warnings = []
     c2 = constant_C2(p, params.sigma, params.rho)
     a = float(p + 1)
     r2 = threshold_r2(a, p, delta, params)
-    ratio_tail = _pow_guarded(6.0 * c2 * a ** (p + 1), 1.0 / params.mu, warnings, "r3")
-    r3 = max(r2, ratio_tail)
+    r3 = max(r2, _pow(6.0 * c2 * a ** (p + 1), 1.0 / params.mu))
     ap = constant_Ap(p, params.mu, table)
-    r4 = _pow_guarded(36.0 * params.C1 * ap, 1.0 / (params.mu * (1.0 - delta)), warnings, "r4")
-    r5 = _pow_guarded(
-        2.0 * a ** (p + 1) * c2 / params.C1, 1.0 / (params.mu * delta), warnings, "r5"
-    )
+    r4 = _pow(36.0 * params.C1 * ap, 1.0 / (params.mu * (1.0 - delta)))
+    r5 = _pow(2.0 * a ** (p + 1) * c2 / params.C1, 1.0 / (params.mu * delta))
     return r3, r4, r5
 
 
 @dataclass(frozen=True)
 class StageConstants:
-    """Constants of one delta-stage of the activation-radius computation."""
+    """Constants of one delta-stage of the activation-radius computation.
+
+    r2 is taken at the disk scale a = p + 1; W is the Vandermonde determinant.
+    """
 
     delta: float
     p: int
-    a: float
     c: float
     r1: float
     r2: float
@@ -455,6 +445,7 @@ class StageConstants:
     r5: float
     C2: float
     C3: float
+    W: int
     Ap: float
 
     @property
@@ -463,91 +454,26 @@ class StageConstants:
 
 
 def _stage_constants(
-    params: ClassParams, delta: float, warnings: list[str], p_override: int | None = None
+    params: ClassParams, delta: float, p_override: int | None = None
 ) -> StageConstants:
     p = select_p(params.rho, params.mu, delta) if p_override is None else p_override
     _check_genus(p)
     table = vandermonde_cofactors(p)
-    a = float(p + 1)
-    c = threshold_c(params)
-    r1 = threshold_r1(params)
-    r2 = threshold_r2(a, p, delta, params)
-    r3, r4, r5 = thresholds_r3_r4_r5(p, delta, params, table, warnings)
+    r3, r4, r5 = thresholds_r3_r4_r5(p, delta, params, table)
     return StageConstants(
         delta=delta,
         p=p,
-        a=a,
-        c=c,
-        r1=r1,
-        r2=r2,
+        c=threshold_c(params),
+        r1=threshold_r1(params),
+        r2=threshold_r2(float(p + 1), p, delta, params),
         r3=r3,
         r4=r4,
         r5=r5,
         C2=constant_C2(p, params.sigma, params.rho),
         C3=constant_C3(p, params.sigma, params.rho),
+        W=table.det,
         Ap=constant_Ap(p, params.mu, table),
     )
-
-
-@dataclass(frozen=True)
-class ActivationReport:
-    """Every intermediate of the two-stage activation radius.
-
-    `main` holds the constants at the requested delta, `inner` the constants
-    at the halved budget delta1 = delta/2 used to absorb the target accuracy
-    eps, `reduced_C1` is the stability constant 20*A_p(delta1)*C1 of the
-    inner stage, and `eps_radius` the radius past which the inner-stage bound
-    dips below eps.
-    """
-
-    eps: float
-    main: StageConstants
-    inner: StageConstants
-    reduced_C1: float
-    eps_radius: float
-    Rprime: float
-    R0: float
-    warnings: tuple[str, ...]
-
-
-def threshold_R0(
-    eps: float,
-    delta: float,
-    params: ClassParams,
-    p_override: int | None = None,
-) -> tuple[float, float, ActivationReport]:
-    """Activation radius R0(eps, delta) of the final stability bound.
-
-    Stage one runs the whole estimate at delta1 = delta/2, producing the
-    bound 20*A_p(delta1)*C1 / R^(mu*(1-delta1)).  Stage two turns that into
-    eps / R^(mu*(1-delta)) as soon as R >= (20*A_p(delta1)*C1/eps)^(1/(mu*(delta-delta1))).
-    R0 is the maximum of that radius, the inner stage's own activation radii,
-    and the main-stage radii r1..r5 at delta.  Returns (R0, Rprime, report).
-    """
-    if eps <= 0:
-        raise ParameterError("eps must be positive")
-    _check_delta(delta)
-    warnings: list[str] = []
-    delta1 = delta / 2.0
-    main = _stage_constants(params, delta, warnings, p_override)
-    inner = _stage_constants(params, delta1, warnings)
-    reduced_c1 = 20.0 * inner.Ap * params.C1
-    eps_radius = _pow_guarded(
-        reduced_c1 / eps, 1.0 / (params.mu * (delta - delta1)), warnings, "eps-radius"
-    )
-    rprime = max(inner.max_radius, eps_radius)
-    r0 = max(main.max_radius, rprime)
-    report = ActivationReport(
-        eps=eps,
-        main=main,
-        inner=inner,
-        reduced_C1=reduced_c1,
-        eps_radius=eps_radius,
-        Rprime=rprime,
-        R0=r0,
-        warnings=tuple(warnings),
-    )
-    return r0, rprime, report
 
 
 def final_exponent(mu, delta):
@@ -567,36 +493,46 @@ def final_exponent(mu, delta):
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """All constants of the bound for one (params, delta, eps) triple."""
+    """All constants of the bound for one (params, delta, eps) triple.
+
+    `main` holds the constants at the requested delta, `inner` those at the
+    halved budget delta1 = delta/2 used to absorb the target accuracy eps.
+    The record adds only what stage two produces: the disk scale `a` with the
+    main stage's r2 at that scale, the inner stage's stability constant
+    reduced_C1 = 20*A_p(delta1)*C1, the radius `eps_radius` past which that
+    bound dips below eps, Rprime, R0 and the final exponent mu*(1-delta).
+
+    A threshold beyond double range is +inf, never an OverflowError, and
+    `warnings` names each +inf threshold: the main stage's c, r1..r5, then
+    the inner stage's, then the eps-radius.  Rprime and R0, maxima of stage
+    thresholds, get no entry of their own.
+    """
 
     params: ClassParams
     delta: float
     eps: float
-    p: int
+    main: StageConstants
+    inner: StageConstants
     a: float
-    c: float
-    r1: float
     r2: float
-    r3: float
-    r4: float
-    r5: float
-    C2: float
-    C3: float
-    W: int
-    Ap: float
+    reduced_C1: float
+    eps_radius: float
     Rprime: float
     R0: float
     exponent: float
-    activation: ActivationReport
-    warnings: tuple[str, ...] = ()
 
     @property
-    def max_small_radius(self) -> float:
-        return max(self.r1, self.r2, self.r3, self.r4, self.r5)
+    def warnings(self) -> tuple[str, ...]:
+        # the main stage as printed, with r2 at the requested disk scale a
+        stages = (replace(self.main, r2=self.r2), self.inner)
+        names = ("c", "r1", "r2", "r3", "r4", "r5")
+        named = [(name, getattr(stage, name)) for stage in stages for name in names]
+        named.append(("eps-radius", self.eps_radius))
+        return tuple(f"{name}: {OVERFLOW_WARNING}" for name, value in named if math.isinf(value))
 
     def ratio_bound(self, R: float) -> float:
         """Constant-form bound 20*A_p*C1 / R^(mu*(1-delta)) at outer radius R."""
-        return 20.0 * self.Ap * self.params.C1 / R**self.exponent
+        return 20.0 * self.main.Ap * self.params.C1 / R**self.exponent
 
     def eps_bound(self, R: float) -> float:
         """Accuracy-form bound eps / R^(mu*(1-delta)), valid once R >= R0."""
@@ -605,30 +541,30 @@ class DerivedConstants:
     def to_json_dict(self) -> dict:
         from .report import format_float
 
-        stage = self.activation
+        main, inner = self.main, self.inner
         return {
-            "p": str(self.p),
+            "p": str(main.p),
             "a": format_float(self.a),
-            "c": format_float(self.c),
-            "r1": format_float(self.r1),
+            "c": format_float(main.c),
+            "r1": format_float(main.r1),
             "r2": format_float(self.r2),
-            "r3": format_float(self.r3),
-            "r4": format_float(self.r4),
-            "r5": format_float(self.r5),
-            "C2": format_float(self.C2),
-            "C3": format_float(self.C3),
-            "W": str(self.W),
-            "Ap": format_float(self.Ap),
+            "r3": format_float(main.r3),
+            "r4": format_float(main.r4),
+            "r5": format_float(main.r5),
+            "C2": format_float(main.C2),
+            "C3": format_float(main.C3),
+            "W": str(main.W),
+            "Ap": format_float(main.Ap),
             "Rprime": format_float(self.Rprime),
             "R0": format_float(self.R0),
             "exponent": format_float(self.exponent),
             "inner_stage": {
-                "delta": format_float(stage.inner.delta),
-                "p": str(stage.inner.p),
-                "Ap": format_float(stage.inner.Ap),
-                "reduced_C1": format_float(stage.reduced_C1),
-                "eps_radius": format_float(stage.eps_radius),
-                "max_radius": format_float(stage.inner.max_radius),
+                "delta": format_float(inner.delta),
+                "p": str(inner.p),
+                "Ap": format_float(inner.Ap),
+                "reduced_C1": format_float(self.reduced_C1),
+                "eps_radius": format_float(self.eps_radius),
+                "max_radius": format_float(inner.max_radius),
             },
             "warnings": list(self.warnings),
         }
@@ -643,39 +579,38 @@ def derive_constants(
 ) -> DerivedConstants:
     """Compute every constant of the bound in one pass.
 
+    Stage one runs the whole estimate at delta1 = delta/2, producing the
+    bound 20*A_p(delta1)*C1 / R^(mu*(1-delta1)).  Stage two turns that into
+    eps / R^(mu*(1-delta)) as soon as R >= (20*A_p(delta1)*C1/eps)^(1/(mu*(delta-delta1))).
+    Rprime is the maximum of that radius and the inner stage's own activation
+    radii; R0 is the maximum of Rprime and the main-stage radii r1..r5.
+
     `a` scales the tail-product disk radius a*R^(1-delta) and defaults to
     p + 1, the value the proof of the segment step needs.  `p_override`
-    forces the genus (the selection rule is deliberately strict; overriding
-    lets one explore the relaxed variants).
+    forces the main-stage genus (the selection rule is deliberately strict;
+    overriding lets one explore the relaxed variants).
     """
-    r0_radius, rprime, activation = threshold_R0(eps, delta, params, p_override)
-    stage = activation.main
-    a_val = stage.a if a is None else float(a)
-    warnings = list(activation.warnings)
-    if a is not None and a_val != stage.a:
-        r2 = threshold_r2(a_val, stage.p, delta, params)
-    else:
-        r2 = stage.r2
-    table = vandermonde_cofactors(stage.p)
+    if eps <= 0:
+        raise ParameterError("eps must be positive")
+    _check_delta(delta)
+    delta1 = delta / 2.0
+    main = _stage_constants(params, delta, p_override)
+    inner = _stage_constants(params, delta1)
+    reduced_c1 = 20.0 * inner.Ap * params.C1
+    eps_radius = _pow(reduced_c1 / eps, 1.0 / (params.mu * (delta - delta1)))
+    rprime = max(inner.max_radius, eps_radius)
+    a_val = float(main.p + 1) if a is None else float(a)
     return DerivedConstants(
         params=params,
         delta=delta,
         eps=eps,
-        p=stage.p,
+        main=main,
+        inner=inner,
         a=a_val,
-        c=stage.c,
-        r1=stage.r1,
-        r2=r2,
-        r3=stage.r3,
-        r4=stage.r4,
-        r5=stage.r5,
-        C2=stage.C2,
-        C3=stage.C3,
-        W=table.det,
-        Ap=stage.Ap,
+        r2=threshold_r2(a_val, main.p, delta, params),
+        reduced_C1=reduced_c1,
+        eps_radius=eps_radius,
         Rprime=rprime,
-        R0=r0_radius,
+        R0=max(main.max_radius, rprime),
         exponent=final_exponent(params.mu, delta),
-        activation=activation,
-        warnings=tuple(warnings),
     )

@@ -337,12 +337,6 @@ class TailProductSpec:
             )
 
 
-def tail_power_sum(spec: TailProductSpec) -> float:
-    """sum of mult * |z_n|^-(genus+1) over the tail zeros, compensated."""
-    k = spec.genus + 1
-    return math.fsum(m * abs(loc) ** (-k) for loc, m in spec.zeros)
-
-
 def log_tail_product_grid(spec: TailProductSpec, z: np.ndarray, block: int = 256) -> np.ndarray:
     """log tail product by the direct sum of primary-factor logs.
 

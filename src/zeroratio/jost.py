@@ -117,10 +117,6 @@ class Kernel:
     def value_at_zero(self) -> float:
         return float(self.value(0.0))
 
-    @property
-    def support_end(self) -> float:
-        return self.knots[-1] if self.kind == "piecewise" else math.inf
-
     def moment(self, n: int) -> float:
         """integral of t^n * K(t) dt over the support, exact; piecewise kernels only."""
         if n < 0:

@@ -113,14 +113,6 @@ class EntireModel:
         n = self.zeros.count_within(radius)
         return n + self.origin_order if radius > 0 else n
 
-    def tail_spec(self, cutoff: float) -> TailProductSpec:
-        """The part of the product over zeros of modulus >= cutoff."""
-        return TailProductSpec(
-            zeros=self.zeros.restrict(min_modulus=cutoff),
-            genus=self.genus,
-            cutoff=cutoff,
-        )
-
 
 # ---------------------------------------------------------------------------
 # zero-count compliance

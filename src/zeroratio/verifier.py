@@ -27,10 +27,8 @@ from .constants import (
     ParameterError,
     constant_Ap,
     constant_C2,
-    constant_C3,
     derive_constants,
     threshold_r2,
-    thresholds_r3_r4_r5,
     vandermonde_cofactors,
 )
 from .factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid, require_guard
@@ -365,14 +363,11 @@ def check_step5_bounds(
     params = spec.params
     R, delta, p = spec.R, spec.delta, build.p
     a = float(p + 1)
-    table = vandermonde_cofactors(p)
-    Ap = constant_Ap(p, params.mu, table)
-    C3 = constant_C3(p, params.sigma, params.rho)
-    exponent = params.mu * (1.0 - delta)
+    derived = derive_constants(params, delta, p_override=p)
+    stage = derived.main
+    Ap, C3, exponent = stage.Ap, stage.C3, derived.exponent
     eta = params.C1 / R**exponent
     eta2 = C3 / R**params.mu
-    r2 = threshold_r2(a, p, delta, params)
-    r3, r4, r5 = thresholds_r3_r4_r5(p, delta, params, table)
     base_r = R ** (1.0 - delta)
 
     comp_a = _compliance_precondition("psi1 zero counts within class rate",
@@ -418,7 +413,7 @@ def check_step5_bounds(
     (mag_base, dev_base), (mag_fine, dev_fine), wide_profile, wide_samples = _sampled_sups(
         ratio_mag_dev, a * base_r, grid)
     shared_pre = [
-        precondition("R >= r2", R >= r2, r2, R),
+        precondition("R >= r2", R >= stage.r2, stage.r2, R),
         precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
         comp_a,
         comp_b,
@@ -478,7 +473,7 @@ def check_step5_bounds(
             "disk_radius": base_r,
             "segment_observed": seg_delta,
             "segment_bound": 9.0 * eta,
-            "thresholds": {"r3": r3, "r4": r4, "r5": r5},
+            "thresholds": {"r3": stage.r3, "r4": stage.r4, "r5": stage.r5},
             "profile": [(rr, 18.0 * Ap * eta, v) for rr, v in d_profile],
         },
     )
@@ -537,7 +532,7 @@ def check_theorem(
         "R": R,
         "delta": delta,
         "p": build.p,
-        "Ap": derived.Ap,
+        "Ap": derived.main.Ap,
         "exponent": derived.exponent,
         "disk_radius": radius,
         "sup_base": sup_base,
@@ -551,8 +546,8 @@ def check_theorem(
         observed=sup_fine,
         samples=samples,
         preconditions=[
-            precondition("R >= max(r1..r5)", R >= derived.max_small_radius,
-                         derived.max_small_radius, R),
+            precondition("R >= max(r1..r5)", R >= derived.main.max_radius,
+                         derived.main.max_radius, R),
             converged,
         ] + ray_pre + comp_pre,
         details=dict(details, profile=[(rr, constant_bound, v) for rr, v in profile]),

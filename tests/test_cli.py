@@ -45,6 +45,40 @@ def test_constants_golden_values(tmp_path):
     assert data["exponent"].startswith("0.3333")
 
 
+_OVERFLOW_BASE = ["constants", "--C0", "2", "--C1", "1", "--rho", "1", "--sigma", "1",
+                  "--mu", "1", "--r0", "1", "--delta", "0.5"]
+
+
+@pytest.mark.parametrize("change", [
+    ["--mu", "0.001"],
+    ["--a", "1e100"],
+    ["--C1", "1e300", "--sigma", "1e-300", "--mu", "1e-3"],
+    ["--C0", "1e300", "--rho", "0.01", "--sigma", "1e-300"],
+])
+def test_constants_beyond_double_range_print_inf_with_warnings(change, capsys):
+    argv = list(_OVERFLOW_BASE)
+    for flag, value in zip(change[::2], change[1::2]):
+        if flag in argv:
+            argv[argv.index(flag) + 1] = value
+        else:
+            argv += [flag, value]
+    rc = run(argv)
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    data = json.loads(captured.out)
+    warned = set()
+    for warning in data["warnings"]:
+        name, _, message = warning.partition(": ")
+        assert message == "threshold exceeds representable range"
+        warned.add(name.replace("-", "_"))
+    fields = dict(data, **data["inner_stage"])
+    infinite = {key for key, value in fields.items() if value == "inf"}
+    # Rprime, R0 and the inner max_radius are maxima of the named thresholds
+    maxima = {"Rprime", "R0", "max_radius"}
+    assert infinite - maxima, "expected an infinite threshold"
+    assert infinite - maxima <= warned
+
+
 def test_constants_missing_class_flag_exits_64(tmp_path):
     rc = run(["constants", "--C1", "1", "--rho", "1", "--sigma", "1",
               "--mu", "1", "--r0", "1", "--delta", "0.6667"])
@@ -166,6 +200,12 @@ def assert_evaluation_error(rc, capsys):
 def test_genus_below_growth_order_exits_2(capsys):
     rc = run(["constants", "--C0", "2", "--C1", "1", "--rho", "3", "--sigma", "1",
               "--mu", "1", "--r0", "1", "--delta", "0.6667", "--p-override", "1"])
+    assert_evaluation_error(rc, capsys)
+
+
+def test_overflow_in_a_check_exits_2(capsys):
+    rc = run(["verify", "lemma3", "--poly-seed", "1", "--p", "3", "--r", "1e-300",
+              "--grid", "4x16"])
     assert_evaluation_error(rc, capsys)
 
 

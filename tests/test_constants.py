@@ -25,7 +25,6 @@ from zeroratio.constants import (
     derive_constants,
     final_exponent,
     select_p,
-    threshold_R0,
     threshold_c,
     threshold_r1,
     threshold_r2,
@@ -341,11 +340,12 @@ def test_activation_radius_matches_mpmath():
     rprime_mp = max(inner_max, eps_radius)
     r0_mp = max(main_max, rprime_mp)
 
-    r0, rprime, report = threshold_R0(eps, delta, params)
-    assert rprime == pytest.approx(float(rprime_mp), rel=1e-12)
-    assert r0 == pytest.approx(float(r0_mp), rel=1e-12)
-    assert report.inner.p == p_inner
-    assert report.main.p == p_main
+    d = derive_constants(params, delta, eps=eps)
+    assert d.Rprime == pytest.approx(float(rprime_mp), rel=1e-12)
+    assert d.R0 == pytest.approx(float(r0_mp), rel=1e-12)
+    assert d.eps_radius == pytest.approx(float(eps_radius), rel=1e-12)
+    assert d.inner.p == p_inner
+    assert d.main.p == p_main
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +356,10 @@ def test_activation_radius_matches_mpmath():
 def test_derive_constants_golden_run():
     params = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=1.0, mu=1.0, r0=1.0)
     d = derive_constants(params, 0.6667, eps=0.1)
-    assert d.p == 2
-    assert d.c == pytest.approx(2.0)
-    assert d.r1 == pytest.approx(2.0)
-    assert d.W == 2
+    assert d.main.p == 2
+    assert d.main.c == pytest.approx(2.0)
+    assert d.main.r1 == pytest.approx(2.0)
+    assert d.main.W == 2
     payload = d.to_json_dict()
     assert payload["p"] == "2"
     assert payload["c"] == "2"
@@ -381,7 +381,7 @@ def test_ratio_and_eps_bounds_shapes():
     params = ClassParams(C0=0.5, C1=1.0e-3, rho=1.0, sigma=2.2e-3, mu=2.0, r0=1.0)
     d = derive_constants(params, 0.9)
     R = 300.0
-    expected = 20.0 * d.Ap * params.C1 / R ** (params.mu * (1 - 0.9))
+    expected = 20.0 * d.main.Ap * params.C1 / R ** (params.mu * (1 - 0.9))
     assert d.ratio_bound(R) == pytest.approx(expected, rel=1e-14)
     assert d.eps_bound(R) == pytest.approx(1.0 / R ** (params.mu * 0.1), rel=1e-14)
 
@@ -389,14 +389,32 @@ def test_ratio_and_eps_bounds_shapes():
 def test_overflow_produces_warning_not_crash():
     params = ClassParams(C0=2.0, C1=50.0, rho=1.0, sigma=1.0, mu=0.5, r0=1.0)
     d = derive_constants(params, 0.99)
-    assert math.isinf(d.r4)
+    assert math.isinf(d.main.r4)
     assert any("r4" in w and "range" in w for w in d.warnings)
+
+
+def test_every_threshold_power_overflows_to_inf():
+    # each of these raised OverflowError before the powers were guarded
+    ray = ClassParams(C0=2.0, C1=1e300, rho=1.0, sigma=1e-300, mu=1e-3)
+    assert math.isinf(threshold_c(ray))
+    jensen = ClassParams(C0=1e300, C1=1.0, rho=0.01, sigma=1e-300, mu=1.0)
+    assert math.isinf(threshold_r1(jensen))
+    params = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=1.0, mu=1.0)
+    assert math.isinf(threshold_r2(1e100, 3, 0.5, params))  # smallness term
+    assert math.isinf(threshold_r2(1e5, 3, 0.01, params))  # guard term
+    slow = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=1.0, mu=1e-3)
+    assert all(math.isinf(r) for r in thresholds_r3_r4_r5(2, 0.5, slow))
+    d = derive_constants(slow, 0.5)
+    assert math.isinf(d.eps_radius) and math.isinf(d.R0)
+    # main stage, then inner stage, then the eps-radius; c and r1 stay finite
+    per_stage = [f"{name}: threshold exceeds representable range" for name in ("r2", "r3", "r4", "r5")]
+    assert d.warnings == tuple(per_stage + per_stage + ["eps-radius: threshold exceeds representable range"])
 
 
 def test_p_override_respected():
     params = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=1.0, mu=1.0, r0=1.0)
     d = derive_constants(params, 2.0 / 3.0, p_override=5)
-    assert d.p == 5
+    assert d.main.p == 5
     with pytest.raises(ParameterError):
         derive_constants(params, 2.0 / 3.0, p_override=0)
 

@@ -22,7 +22,6 @@ from zeroratio.factors import (
     log_primary_factor_grid,
     log_tail_product_grid,
     primary_factor_grid,
-    tail_power_sum,
 )
 
 
@@ -273,23 +272,6 @@ def test_tail_product_single_zero_spot_value():
     expected = 0.9 * math.exp(0.1)
     assert tail_product_at(spec, 1.0) == pytest.approx(expected, rel=1e-14)
     assert tail_product_at(spec, 0.0) == 1.0 + 0.0j
-
-
-def test_tail_power_sum_hand_value():
-    spec = TailProductSpec(zeros=ZeroSet.from_points([10.0, 20.0j]), genus=1, cutoff=10.0)
-    assert tail_power_sum(spec) == pytest.approx(1.0 / 100.0 + 1.0 / 400.0, rel=1e-15)
-
-
-def test_tail_power_sum_zeta_comparison():
-    # z_n = R*n, genus 2: the sum is R^-3 * sum n^-3 <= R^-3 * zeta(3)
-    R = 50.0
-    zeros = ZeroSet.from_points([R * n for n in range(1, 400)])
-    spec = TailProductSpec(zeros=zeros, genus=2, cutoff=R)
-    value = tail_power_sum(spec)
-    zeta3 = float(mpmath.zeta(3))
-    partial = sum((R * n) ** -3 for n in range(1, 400))
-    assert value == pytest.approx(partial, rel=1e-13)
-    assert value < zeta3 / R**3
 
 
 def test_tail_product_log_additivity():

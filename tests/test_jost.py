@@ -81,7 +81,6 @@ def test_moments_of_polynomial_kernel():
     assert kernel.moment(0) == pytest.approx(2.0)
     assert kernel.moment(1) == pytest.approx(8.0 / 3.0, rel=1e-15)
     assert kernel.value_at_zero() == pytest.approx(0.0)
-    assert kernel.support_end == pytest.approx(2.0)
 
 
 def test_superexp_kernel_has_no_moments():

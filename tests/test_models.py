@@ -173,15 +173,6 @@ def test_evaluate_vanishes_at_exact_zeros_in_any_batch():
         assert np.all(np.abs(model.evaluate(np.array([0.3 + 0.1j, 5.0]))) > 0.0)
 
 
-def test_tail_spec_keeps_only_far_zeros():
-    zeros = ZeroSet.from_points([1.0 + 0j, 5.0 + 0j, 9.0 + 0j])
-    model = EntireModel(genus=1, zeros=zeros)
-    spec = model.tail_spec(4.0)
-    assert spec.cutoff == 4.0
-    assert spec.genus == 1
-    assert sorted(abs(loc) for loc, _m in spec.zeros) == [5.0, 9.0]
-
-
 # ---------------------------------------------------------------------------
 # count compliance
 # ---------------------------------------------------------------------------
@@ -333,7 +324,7 @@ def test_engineered_pair_invariants():
         assert 1.0e-3 <= spec.params.C1 <= 2.0e-3
         assert build.measured.envelope_C1 <= spec.params.C1
         derived = derive_constants(spec.params, spec.delta, p_override=build.p)
-        assert derived.max_small_radius <= spec.R
+        assert derived.main.max_radius <= spec.R
         assert build.measured.compliance_a.ok and build.measured.compliance_b.ok
 
 
