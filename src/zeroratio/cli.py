@@ -296,12 +296,12 @@ def _verify_lemma3(args) -> list[VerificationReport]:
         rng = np.random.default_rng(args.poly_seed)
         table = vandermonde_cofactors(degree)
         Ap = constant_Ap(degree, args.mu, table)
-        shape = np.array(
-            [
-                (rng.normal() + 1j * rng.normal()) * args.r ** (-(j - 1))
-                for j in range(1, degree + 2)
-            ]
-        )
+        try:
+            scales = [args.r ** -(j - 1) for j in range(1, degree + 2)]
+        except OverflowError:
+            raise EvaluationError(f"--r {args.r:g} is too small for --p {degree}: the "
+                                  f"coefficient scale r^-p = {args.r:g}^-{degree} overflows") from None
+        shape = np.array([(rng.normal() + 1j * rng.normal()) * s for s in scales])
         # rescale so the measured segment envelope lands well inside the
         # eps*Ap <= 1/4 precondition (linear proxy: |e^g - 1| ~ |g|)
         ts = np.linspace(args.r, (degree + 1) * args.r, 257)

@@ -105,11 +105,6 @@ class ZeroSet:
     def max_modulus(self) -> float:
         return abs(self.entries[-1][0]) if self.entries else 0.0
 
-    def restrict(self, min_modulus: float = 0.0, max_modulus: float = math.inf) -> "ZeroSet":
-        return ZeroSet(
-            tuple(e for e in self.entries if min_modulus <= abs(e[0]) <= max_modulus)
-        )
-
     def merged_with(self, other: "ZeroSet") -> "ZeroSet":
         return ZeroSet(self.entries + other.entries)
 

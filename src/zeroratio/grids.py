@@ -45,20 +45,21 @@ class DiskGrid:
 def segment_points(start: complex, end: complex, count: int, include: np.ndarray | None = None) -> np.ndarray:
     """Uniform samples of the segment [start, end], plus mandatory points.
 
-    `include` points are inserted exactly (deduplicated), so bounds that must
-    be measured at specific nodes sample those nodes with no interpolation.
+    `include` points are inserted exactly, and a uniform sample within a few
+    ulps of one is merged into it, so bounds measured at specific nodes
+    sample each node once, with no interpolation.
     """
     if count < 2:
         raise ParameterError("need at least two segment samples")
     t = np.linspace(0.0, 1.0, count)
     pts = start + (end - start) * t
     if include is not None and len(include):
-        pts = np.concatenate([pts, np.asarray(include, dtype=complex)])
-        order = np.argsort(np.abs(pts - start), kind="stable")
-        pts = pts[order]
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = np.abs(np.diff(pts)) > 0
-        pts = pts[keep]
+        include = np.asarray(include, dtype=complex)
+        tol = 4.0 * np.finfo(float).eps * max(abs(start), abs(end))
+        near = np.min(np.abs(pts[:, None] - include[None, :]), axis=1) <= tol
+        pts = np.concatenate([pts[~near], include])
+        pts = pts[np.argsort(np.abs(pts - start), kind="stable")]
+        pts = pts[np.concatenate([[True], np.diff(pts) != 0])]
     return pts
 
 

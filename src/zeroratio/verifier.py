@@ -5,11 +5,12 @@ segment, measures its preconditions instead of assuming them, and returns a
 VerificationReport whose verdict can only be "fail" when every measured
 precondition actually held.
 
-Every disk supremum is of a function holomorphic on the closed disk, so by
-the maximum modulus principle it lies on the boundary circle.  It is sampled
-twice: on the polar lattice of the grid, whose outer ring is that circle at N
-points, and on the circle alone at 2N points.  The report carries a
-grid-convergence precondition requiring the two maxima to agree within 1%.
+Each sup is sampled coarse and refined, and a "grid sup converged"
+precondition asks the two maxima to agree within 1%.  The refined samples
+are the coarse ones plus their midpoints, evaluated once; the coarse maximum
+is read from them.  A disk sup lies on the boundary circle (maximum modulus
+principle): its coarse samples are the grid's polar lattice, its refined
+ones the circle at 2N points, whose even points are the lattice's outer ring.
 
 Tail products are finite canonical products, so they are evaluated as entire
 models; only the decomposition identity keeps the direct factor-by-factor sum,
@@ -33,8 +34,7 @@ from .constants import (
 )
 from .factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid, require_guard
 from .grids import DiskGrid, segment_points
-from .jost import ray_envelope_constant
-from .models import EntireModel, PairBuild, count_compliance
+from .models import CountCompliance, EntireModel, PairBuild, count_compliance
 from .report import Precondition, VerificationReport, precondition
 from .zeros import EvaluationError
 
@@ -62,23 +62,28 @@ def _sampled_sups(
     """Sampled sup over B(0, radius) of magnitudes of holomorphic functions.
 
     `evaluate` maps points to magnitudes, one per point or one row of several
-    per point.  The base pass evaluates the grid's polar lattice; the
-    refinement evaluates the boundary circle alone at twice the grid's spokes,
-    since by the maximum modulus principle no interior point can exceed it.
+    per point.  It is called once, on the inner rings of the grid's polar
+    lattice followed by the boundary circle at twice the grid's spokes.  The
+    base maximum is the lattice's, whose outer ring is the circle's even
+    points; the refined maximum is the circle's, since by the maximum modulus
+    principle no interior point can exceed it.
 
     Returns (sup_base, sup_refined, profile, samples): the two maxima (floats,
     or lists with one entry per column), the (ring radius, ring maximum)
-    pairs of the base pass, and the number of points evaluated.
+    pairs of the lattice, and the number of points evaluated.
     """
     grid = grid or default_disk_grid()
-    base = np.asarray(evaluate(grid.points(radius)))
-    circle = np.asarray(evaluate(DiskGrid(1, 2 * grid.spokes).points(radius)))
+    inner = (grid.rings - 1) * grid.spokes
+    pts = np.concatenate([grid.points(radius)[:inner],
+                          DiskGrid(1, 2 * grid.spokes).points(radius)])
+    vals = np.asarray(evaluate(pts))
+    base = np.concatenate([vals[:inner], vals[inner::2]])
     ring_max = base.reshape(grid.rings, grid.spokes, *base.shape[1:]).max(axis=1)
     return (
         np.max(base, axis=0, initial=0.0).tolist(),
-        np.max(circle, axis=0, initial=0.0).tolist(),
+        np.max(vals[inner:], axis=0, initial=0.0).tolist(),
         list(zip(grid.ring_radii(radius).tolist(), ring_max.tolist())),
-        len(base) + len(circle),
+        len(vals),
     )
 
 
@@ -88,9 +93,22 @@ def _converged(sup_base: float, sup_fine: float) -> Precondition:
     return precondition("grid sup converged", change <= _REFINE_TOL, _REFINE_TOL, change)
 
 
-def _compliance_precondition(name: str, zeros: ZeroSet, params: ClassParams) -> Precondition:
-    comp = count_compliance(zeros, params)
+def _compliance_precondition(name: str, comp: CountCompliance) -> Precondition:
     return precondition(name, comp.ok, comp.worst_bound, float(comp.worst_count))
+
+
+def _envelope_preconditions(C1: float, env1: float, env2: float) -> list[Precondition]:
+    return [precondition(f"measured ray envelope {name} <= C1", env <= C1, C1, env)
+            for name, env in (("psi1", env1), ("psi2", env2))]
+
+
+def _pair_compliance(build: PairBuild) -> list[Precondition]:
+    """Zero-count compliance of psi1 and psi2, as measured by build_pair."""
+    return [
+        _compliance_precondition(f"{name} zero counts within class rate", comp)
+        for name, comp in (("psi1", build.measured.compliance_a),
+                           ("psi2", build.measured.compliance_b))
+    ]
 
 
 def _poly_delta(build: PairBuild, z: np.ndarray) -> np.ndarray:
@@ -108,14 +126,17 @@ def _tail_log(tail: TailProductSpec, z: np.ndarray) -> np.ndarray:
     return EntireModel(genus=tail.genus, zeros=tail.zeros).log_value(z)
 
 
-def _ratio_minus_one(build: PairBuild, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi2/psi1 - 1) by honest pointwise division.
+def _pair_values(build: PairBuild, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray(build.psi1.evaluate(z)), np.asarray(build.psi2.evaluate(z))
+
+
+def _ratio_minus_one(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psi2/psi1 - 1) from the values of psi1 and psi2, by honest division.
 
     Returns (values, keep_mask); points where |psi1| collapses below
-    _DENOM_FLOOR of its grid maximum are masked out rather than evaluated.
+    _DENOM_FLOOR of its batch maximum are masked out, with value 0, rather
+    than divided.
     """
-    v1 = np.asarray(build.psi1.evaluate(z))
-    v2 = np.asarray(build.psi2.evaluate(z))
     scale = float(np.max(np.abs(v1), initial=0.0))
     if scale == 0.0:
         raise EvaluationError("psi1 vanishes on the whole grid")
@@ -173,7 +194,8 @@ def check_lemma2(
         samples=samples,
         preconditions=[
             precondition("R >= r2", R >= r2, r2, R),
-            _compliance_precondition("zero counts within class rate", zeros, params),
+            _compliance_precondition("zero counts within class rate",
+                                     count_compliance(zeros, params)),
             _converged(sup_base, sup_fine),
         ],
         details={
@@ -308,7 +330,7 @@ def check_decomposition(
     radius = (build.p + 1) * spec.R ** (1.0 - spec.delta)
     pts = (grid or default_disk_grid()).points(radius)
 
-    ratio_m1, keep = _ratio_minus_one(build, pts)
+    ratio_m1, keep = _ratio_minus_one(*_pair_values(build, pts))
     log_ratio = (log_tail_product_grid(build.tail_spec_a(), pts)
                  - log_tail_product_grid(build.tail_spec_b(), pts))
     pi_ratio = np.exp(log_ratio)
@@ -370,38 +392,31 @@ def check_step5_bounds(
     eta2 = C3 / R**params.mu
     base_r = R ** (1.0 - delta)
 
-    comp_a = _compliance_precondition("psi1 zero counts within class rate",
-                                      spec.shared.merged_with(spec.outer_a), params)
-    comp_b = _compliance_precondition("psi2 zero counts within class rate",
-                                      spec.shared.merged_with(spec.outer_b), params)
-
-    # -- ray segment ---------------------------------------------------------
-    radii = _ray_nodes(base_r, p, segment_samples)
-    radii_fine = _ray_nodes(base_r, p, 2 * segment_samples)
-    direction = np.exp(1j * spec.ray_angle)
-    env1 = ray_envelope_constant(build.psi1, spec.ray_angle, params.mu, radii_fine)
-    env2 = ray_envelope_constant(build.psi2, spec.ray_angle, params.mu, radii_fine)
-
-    def seg_sup(rr):
-        """(sup, masked point count) of |psi2/psi1 - 1| on the ray radii."""
-        vals, keep = _ratio_minus_one(build, rr * direction)
-        return float(np.max(np.abs(vals[keep]), initial=0.0)), int(np.sum(~keep))
-
-    (seg_base, excluded_base), (seg_fine, excluded_fine) = seg_sup(radii), seg_sup(radii_fine)
+    # -- ray segment: the fine radii are the coarse ones plus their midpoints --
+    radii = _ray_nodes(base_r, p, 2 * segment_samples - 1)
+    # the coarse radii are among the fine ones, bitwise
+    coarse = np.zeros(len(radii), dtype=bool)
+    coarse[np.searchsorted(radii, _ray_nodes(base_r, p, segment_samples))] = True
+    z_ray = radii * np.exp(1j * spec.ray_angle)
+    v1, v2 = _pair_values(build, z_ray)
+    # the smallest C1 making |psi - 1| <= C1 r^(-mu) hold at the fine radii
+    env_pre = _envelope_preconditions(params.C1, *(
+        float(np.max(np.abs(v - 1.0) * radii**params.mu, initial=0.0)) for v in (v1, v2)))
+    ratio_m1, keep = _ratio_minus_one(v1, v2)
+    seg_fine = float(np.max(np.abs(ratio_m1), initial=0.0))
+    seg_base = float(np.max(np.abs(ratio_m1[coarse]), initial=0.0))
     report_b = VerificationReport(
         check="ray-ratio-smallness",
         bound=(2.0 + 3.0 * eta) * eta,
         observed=seg_fine,
-        samples=len(radii_fine),
+        samples=len(radii),
         preconditions=[
             precondition("eta <= 1/3", eta <= 1.0 / 3.0, 1.0 / 3.0, eta),
             precondition("segment start >= r0", base_r >= params.r0, params.r0, base_r),
-            precondition("measured ray envelope psi1 <= C1", env1 <= params.C1, params.C1, env1),
-            precondition("measured ray envelope psi2 <= C1", env2 <= params.C1, params.C1, env2),
-            _converged(seg_base, seg_fine),
-        ],
-        details={"eta": eta, "segment": [base_r, (p + 1) * base_r],
-                 "ray_angle": spec.ray_angle, "excluded_points": excluded_base + excluded_fine},
+        ] + env_pre + [_converged(seg_base, seg_fine)],
+        # masked samples of the coarse set plus those of the fine set
+        details={"eta": eta, "segment": [base_r, (p + 1) * base_r], "ray_angle": spec.ray_angle,
+                 "excluded_points": int(np.sum(~keep) + np.sum(~keep[coarse]))},
     )
 
     # -- tail-product ratio on the wide disk ----------------------------------
@@ -415,9 +430,7 @@ def check_step5_bounds(
     shared_pre = [
         precondition("R >= r2", R >= stage.r2, stage.r2, R),
         precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
-        comp_a,
-        comp_b,
-    ]
+    ] + _pair_compliance(build)
     report_pi = VerificationReport(
         check="tail-ratio-magnitude",
         bound=1.0 + 3.0 * eta2,
@@ -453,7 +466,7 @@ def check_step5_bounds(
         return np.abs(cexpm1(_poly_delta(build, pts)))
 
     d_base, d_fine, d_profile, d_samples = _sampled_sups(delta_mag, base_r, grid)
-    seg_delta = float(np.max(np.abs(cexpm1(_poly_delta(build, radii_fine * direction))), initial=0.0))
+    seg_delta = float(np.max(np.abs(cexpm1(_poly_delta(build, z_ray))), initial=0.0))
     report_d = VerificationReport(
         check="exponent-difference",
         bound=18.0 * Ap * eta,
@@ -463,10 +476,7 @@ def check_step5_bounds(
             precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
             precondition("9*Ap*eta <= 1/4", 9.0 * Ap * eta <= 0.25, 0.25, 9.0 * Ap * eta),
             precondition("eta2 <= eta", eta2 <= eta, eta, eta2),
-            precondition("measured ray envelope psi1 <= C1", env1 <= params.C1, params.C1, env1),
-            precondition("measured ray envelope psi2 <= C1", env2 <= params.C1, params.C1, env2),
-            _converged(d_base, d_fine),
-        ],
+        ] + env_pre + [_converged(d_base, d_fine)],
         details={
             "Ap": Ap,
             "eta": eta,
@@ -503,31 +513,21 @@ def check_theorem(
     derived = derive_constants(params, delta, eps=eps, p_override=build.p)
     radius = R ** (1.0 - delta)
 
-    excluded_counts: list[int] = []
+    grid = grid or default_disk_grid()
+    keeps: list[np.ndarray] = []
 
     def magnitude(pts):
-        vals, keep = _ratio_minus_one(build, pts)
-        excluded_counts.append(int(np.sum(~keep)))
+        vals, keep = _ratio_minus_one(*_pair_values(build, pts))
+        keeps.append(keep)
         return np.abs(vals)
 
     sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, radius, grid)
-    excluded_total = sum(excluded_counts)
+    # masked samples of the lattice plus those of the circle; the circle's
+    # even points are the lattice's outer ring
+    masked = ~keeps[0]
+    excluded_total = int(np.sum(masked) + np.sum(masked[-2 * grid.spokes::2]))
     converged = _converged(sup_base, sup_fine)
     meas = build.measured
-    ray_pre = [
-        precondition("measured ray envelope psi1 <= C1",
-                     meas.envelope_C1_a <= params.C1, params.C1, meas.envelope_C1_a),
-        precondition("measured ray envelope psi2 <= C1",
-                     meas.envelope_C1_b <= params.C1, params.C1, meas.envelope_C1_b),
-    ]
-    comp_pre = [
-        precondition("psi1 zero counts within class rate",
-                     meas.compliance_a.ok, meas.compliance_a.worst_bound,
-                     float(meas.compliance_a.worst_count)),
-        precondition("psi2 zero counts within class rate",
-                     meas.compliance_b.ok, meas.compliance_b.worst_bound,
-                     float(meas.compliance_b.worst_count)),
-    ]
     details = {
         "R": R,
         "delta": delta,
@@ -549,7 +549,8 @@ def check_theorem(
             precondition("R >= max(r1..r5)", R >= derived.main.max_radius,
                          derived.main.max_radius, R),
             converged,
-        ] + ray_pre + comp_pre,
+        ] + _envelope_preconditions(params.C1, meas.envelope_C1_a, meas.envelope_C1_b)
+        + _pair_compliance(build),
         details=dict(details, profile=[(rr, constant_bound, v) for rr, v in profile]),
     )
     eps_bound = derived.eps_bound(R)
@@ -589,20 +590,18 @@ def check_remark5(
     derived = derive_constants(spec.params, delta, eps=eps, p_override=build.p)
     half = R ** (1.0 - delta)
 
-    def sups(n):
-        xs = segment_points(-half + 0j, half + 0j, n)
-        v1 = np.asarray(build.psi1.evaluate(xs))
-        v2 = np.asarray(build.psi2.evaluate(xs))
-        return float(np.max(np.abs(v2 - v1))), float(np.max(np.abs(v1)))
-
-    diff_base, _ = sups(samples)
-    diff_fine, sup_psi1 = sups(2 * samples)
+    # the even samples of the 2n - 1 are the n coarse ones
+    xs = segment_points(-half + 0j, half + 0j, 2 * samples - 1)
+    v1, v2 = _pair_values(build, xs)
+    diff = np.abs(v2 - v1)
+    diff_base, diff_fine = float(np.max(diff[::2])), float(np.max(diff))
+    sup_psi1 = float(np.max(np.abs(v1)))
     bound = derived.eps_bound(R) * sup_psi1
     return VerificationReport(
         check="difference-on-real-segment",
         bound=bound,
         observed=diff_fine,
-        samples=2 * samples,
+        samples=len(xs),
         preconditions=[
             precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R),
             _converged(diff_base, diff_fine),

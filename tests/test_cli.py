@@ -195,6 +195,7 @@ def assert_evaluation_error(rc, capsys):
     assert rc == 2
     assert "evaluation error:" in err
     assert "Traceback" not in err
+    return err
 
 
 def test_genus_below_growth_order_exits_2(capsys):
@@ -206,7 +207,8 @@ def test_genus_below_growth_order_exits_2(capsys):
 def test_overflow_in_a_check_exits_2(capsys):
     rc = run(["verify", "lemma3", "--poly-seed", "1", "--p", "3", "--r", "1e-300",
               "--grid", "4x16"])
-    assert_evaluation_error(rc, capsys)
+    err = assert_evaluation_error(rc, capsys)
+    assert "--r" in err and "--p" in err and "r^-p" in err
 
 
 def test_jensen_with_zero_at_origin_exits_2(tmp_path, capsys):

@@ -246,10 +246,10 @@ def test_zeroset_rejects_bad_header(tmp_path):
         ZeroSet.from_csv(path)
 
 
-def test_zeroset_restrict_merge_count():
+def test_zeroset_merge_count():
     zs = ZeroSet.from_points([1.0, 2.0, 3.0, 4.0])
-    inner = zs.restrict(max_modulus=2.5)
-    outer = zs.restrict(min_modulus=2.5)
+    inner = ZeroSet.from_points([2.0, 1.0])
+    outer = ZeroSet.from_points([3.0, 4.0])
     assert len(inner) == 2 and len(outer) == 2
     assert inner.merged_with(outer).total_multiplicity == 4
     assert zs.count_within(3.5) == 3

@@ -1,6 +1,7 @@
 """Tests for the certification layer: each check's verdict, bound, and policy."""
 
 import math
+from collections import defaultdict
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,8 @@ from zeroratio.verifier import (
     check_theorem,
     default_disk_grid,
 )
-from zeroratio.grids import DiskGrid
+from zeroratio.grids import DiskGrid, segment_points
+from zeroratio.jost import ray_envelope_constant
 
 # a deliberately small grid keeps the sampled suprema honest while holding the
 # per-test runtime to a fraction of a second
@@ -46,9 +48,9 @@ def _boundary_circle(radius, count):
 
 def test_disk_sups_are_boundary_circle_maxima():
     """observed is the maximum over the 2N-point boundary circle, bitwise,
-    and the samples are the rings x N lattice plus that circle."""
+    and the samples are the inner rings of the lattice plus that circle."""
     grid = DiskGrid(rings=6, spokes=40)
-    expected_samples = grid.rings * grid.spokes + 2 * grid.spokes
+    expected_samples = (grid.rings + 1) * grid.spokes
     build = engineered_pair(3)
     spec, p = build.spec, build.p
 
@@ -64,6 +66,68 @@ def test_disk_sups_are_boundary_circle_maxima():
     for rep in check_theorem(build, grid=grid):
         assert rep.observed == np.max(np.abs((v2 - v1) / v1))
         assert rep.samples == expected_samples
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """The points each EntireModel.log_value call receives, by model."""
+    seen = defaultdict(list)
+    log_value = EntireModel.log_value
+
+    def counting(self, z):
+        seen[self].append(np.ravel(z))
+        return log_value(self, z)
+
+    monkeypatch.setattr(EntireModel, "log_value", counting)
+    return seen
+
+
+def test_each_sample_is_evaluated_once(evaluated):
+    """A disk sup costs (NR+1)*NT points, the ray of step 5 and the segment of
+    remark 5 one point per fine sample, and no model sees a point twice
+    within a check."""
+    grid = DiskGrid(rings=6, spokes=40)
+    disk = (grid.rings + 1) * grid.spokes
+    build = engineered_pair(3)
+    spec, p = build.spec, build.p
+    tail_a, tail_b = (EntireModel(genus=p, zeros=z) for z in (spec.outer_a, spec.outer_b))
+    runs = [
+        (lambda: check_theorem(build, grid=grid), lambda reps: {build.psi1: disk, build.psi2: disk}),
+        (lambda: [check_lemma2(spec.outer_a, spec.R, float(p + 1), p, spec.delta, spec.params,
+                               grid=grid)],
+         lambda reps: {tail_a: disk}),
+        (lambda: check_step5_bounds(build, grid=grid, segment_samples=64),
+         lambda reps: {build.psi1: reps[0].samples, build.psi2: reps[0].samples,
+                       tail_a: disk, tail_b: disk}),
+        (lambda: [check_remark5(build, samples=256)],
+         lambda reps: {build.psi1: 511, build.psi2: 511}),
+    ]
+    for run, expected in runs:
+        evaluated.clear()
+        reports = run()
+        points = {model: np.concatenate(zs) for model, zs in evaluated.items()}
+        assert {model: len(z) for model, z in points.items()} == expected(reports)
+        for z in points.values():
+            assert len(np.unique(z)) == len(z)
+
+
+def test_step5_envelopes_are_the_ray_envelope_constants():
+    """Step 5 reads its envelopes off its fine ray values: the coarse samples
+    plus their midpoints, plus the nodes k*R^(1-delta)."""
+    n = 96
+    for seed, scale in ((0, 0.0), (1, 1.5e-05)):
+        build = engineered_pair(seed, poly_scale=scale)
+        spec, p = build.spec, build.p
+        base_r = spec.R ** (1.0 - spec.delta)
+        radii = np.real(segment_points(base_r, (p + 1) * base_r, 2 * n - 1,
+                                       include=base_r * np.arange(1, p + 2, dtype=float)))
+        reports = check_step5_bounds(build, grid=_SMALL, segment_samples=n)
+        assert reports[0].samples == len(radii)
+        for rep in (reports[0], reports[-1]):
+            actual = {c.name: c.actual for c in rep.preconditions}
+            for name, model in (("psi1", build.psi1), ("psi2", build.psi2)):
+                assert actual[f"measured ray envelope {name} <= C1"] == ray_envelope_constant(
+                    model, spec.ray_angle, spec.params.mu, radii)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +279,8 @@ def test_step5_counts_masked_ray_points():
     )
     ray = check_step5_bounds(build_pair(spec), grid=_SMALL, segment_samples=512)[0]
     assert ray.check == "ray-ratio-smallness"
-    # the base and the refined segment each hit the node once
+    # the node is evaluated once and masked there; it is one sample of the
+    # coarse set and one of the fine set, and each set counts its masked samples
     assert ray.details["excluded_points"] == 2
 
 
