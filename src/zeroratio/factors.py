@@ -24,6 +24,11 @@ import numpy as np
 from .constants import ParameterError
 
 
+# points x zeros per block of primary-factor logs, here and in the model
+# evaluator: 256 KiB per complex temporary, so a block stays in a core's L2
+_NEAR_BLOCK = 16384
+
+
 class DomainError(ValueError):
     """Raised when an argument leaves the validity region of a bound."""
 
@@ -183,13 +188,15 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
 
     The split radius shrinks the explicit branch to where the cancellation
     between log1p(-xi) and the partial sum stays below ~1e-13 relative; the
-    series branch uses a fixed term count chosen from the split radius.
+    series branch sums as many terms as the batch's own reach min(split,
+    max|xi|) needs for a 1e-19 remainder relative to the leading term.
     """
     if p < 1:
         raise ParameterError("vectorized path requires genus >= 1")
     xi = np.asarray(xi, dtype=complex)
     mag = np.abs(xi)
-    require_guard(float(np.max(mag, initial=0.0)), p)
+    reach = float(np.max(mag, initial=0.0))
+    require_guard(reach, p)
     radius = guard_radius(p)
     # The explicit branch subtracts the degree-p partial sum from log1p(-xi),
     # losing ~(p+1)(p+2)*eps*|xi| absolutely against a result of size
@@ -205,17 +212,17 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
     del mag  # blocks of points x zeros are large: hold as few of them at once as possible
     if np.any(small):
         xs = xi if small.all() else xi[small]  # no copy in the common all-series case
-        # term count from the geometric remainder of the tail series at the split
+        s = min(split, reach)  # bounds |xi| at every series point
+        # term count from the geometric remainder of the tail series at s
         terms = 8
-        while (
-            split**terms * (p + 1) / ((p + terms + 1) * (1.0 - split)) > 1e-19
-            and terms < 4000
-        ):
+        while s**terms * (p + 1) / ((p + terms + 1) * (1.0 - s)) > 1e-19 and terms < 4000:
             terms += 4
-        acc = np.zeros_like(xs)
-        for k in range(p + terms, p, -1):  # Horner in xi on 1/k coefficients
-            acc = acc * xs + 1.0 / k
-        acc = -(xs ** (p + 1)) * acc
+        acc = np.full_like(xs, 1.0 / (p + terms))
+        for k in range(p + terms - 1, p, -1):  # Horner in xi on 1/k coefficients, in place
+            acc *= xs
+            acc += 1.0 / k
+        # in this operand order: complex multiplication is not bitwise symmetric
+        np.multiply(-(xs ** (p + 1)), acc, out=acc)
         del xs
         out[small] = acc.ravel()
     large = ~small
@@ -339,14 +346,14 @@ def log_tail_product_grid(spec: TailProductSpec, z: np.ndarray, block: int = 256
     checks the model evaluator against.  Zeros are consumed in fixed-order
     blocks with a compensated accumulator across blocks, so results are
     deterministic and the rounding stays at the few-ulp level even for
-    thousands of factors.  Points go in chunks of 8192*256/block, which
-    bounds the points x zeros temporaries of a block.
+    thousands of factors.  Points go in chunks of _NEAR_BLOCK // min(block,
+    zeros), which keeps the points x zeros temporaries of a block in cache.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     total = np.zeros_like(flat)
     locs, mults = spec.zeros.locations(), spec.zeros.multiplicities().astype(float)
-    chunk = max(1, 8192 * 256 // block)
+    chunk = max(1, _NEAR_BLOCK // max(1, min(block, len(locs))))
     for i in range(0, len(flat) if len(locs) else 0, chunk):
         pts = flat[i : i + chunk, None]
         acc = comp = np.zeros(len(pts), dtype=complex)

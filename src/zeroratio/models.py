@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import ClassParams, ParameterError, select_p, threshold_r1
-from .factors import TailProductSpec, ZeroSet, log_far_field, log_primary_factor_full
+from .factors import _NEAR_BLOCK, TailProductSpec, ZeroSet, log_far_field, log_primary_factor_full
 from .jost import ray_envelope_constant
 from .report import format_float
 from .zeros import AnalyticFn
@@ -29,10 +29,6 @@ from .zeros import AnalyticFn
 
 class PairConstructionError(RuntimeError):
     """The requested pair violates a construction precondition."""
-
-
-# points x near zeros per block of primary-factor logs in EntireModel.log_value
-_NEAR_BLOCK = 16384
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 from zeroratio.constants import ParameterError
 from zeroratio.factors import (
+    _NEAR_BLOCK,
     DomainError,
     TailProductSpec,
     ZeroSet,
@@ -134,6 +135,29 @@ def test_log_primary_factor_grid_and_full_against_mpmath():
         oracle = np.array(oracle)
         for mine in (log_primary_factor_grid(xi, p), log_primary_factor_full(xi, p)):
             assert np.all(np.abs(mine - oracle) <= 1e-13 * np.abs(oracle))
+
+
+def test_log_primary_factor_series_branch_keeps_small_xi_accurate():
+    """The series length follows the batch's reach, so a batch of one decade
+    sums fewer terms than a batch of all decades; both against mpmath at 40
+    digits, moduli log-uniform in [1e-6, split]."""
+    mpmath.mp.dps = 40
+    rng = np.random.default_rng(13)
+    for p in (1, 2, 3, 5, 8, 12):
+        split = min(0.9 * guard_radius(p), max(0.25, (3.3e-3 * (p + 1) * (p + 2)) ** (1.0 / p)))
+        xi = np.exp(rng.uniform(math.log(1e-6), math.log(split), 300)) * np.exp(
+            1j * rng.uniform(0, 2 * math.pi, 300))
+        oracle = []
+        for x in xi:
+            xm = mpmath.mpc(x.real, x.imag)
+            terms = int(42 / -math.log10(abs(x))) + 2  # remainder below 1e-42 relative
+            oracle.append(complex(-mpmath.fsum(xm**k / k for k in range(p + 1, p + 1 + terms))))
+        oracle = np.array(oracle)
+        decade = np.floor(np.log10(np.abs(xi)))
+        batches = [decade == d for d in np.unique(decade)] + [np.ones(len(xi), dtype=bool)]
+        for batch in batches:
+            mine = log_primary_factor_grid(xi[batch], p)
+            assert np.all(np.abs(mine - oracle[batch]) <= 1e-13 * np.abs(oracle[batch])), p
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +355,22 @@ def test_tail_product_guard_violation_raises():
         log_tail_product_grid(spec, np.array([9.0 + 0j]))  # ratio 0.9 > 1/2 guard for genus 1
 
 
-def test_direct_tail_sum_goes_through_8192_point_chunks():
-    """A long batch equals, bitwise, its 8192-point slices evaluated apart,
-    and every point agrees with its lone evaluation to rounding."""
+def test_direct_tail_sum_goes_through_cache_sized_point_chunks():
+    """A long batch equals, bitwise, its chunk-aligned slices evaluated apart,
+    and every point agrees with its lone evaluation to rounding, also a tiny
+    point whose chunk reaches the split radius and so sums more terms."""
     rng = np.random.default_rng(8)
     locs = 50.0 * rng.uniform(1.0, 2.0, 300) * np.exp(1j * rng.uniform(0, 2 * math.pi, 300))
     spec = TailProductSpec(ZeroSet.from_points(locs), 2, 50.0)
     pts = 20.0 * rng.uniform(0.0, 1.0, 9000) * np.exp(1j * rng.uniform(0, 2 * math.pi, 9000))
+    pts[1] = 1e-3j  # |xi| <= 2e-5 alone, beside points past the split in its chunk
+    chunk = _NEAR_BLOCK // 256
+    cut = 100 * chunk
     whole = log_tail_product_grid(spec, pts)
-    assert np.array_equal(whole[:8192], log_tail_product_grid(spec, pts[:8192]))
-    assert np.array_equal(whole[8192:], log_tail_product_grid(spec, pts[8192:]))
-    for i in (0, 8191, 8192, 8999):
+    assert np.array_equal(whole[:cut], log_tail_product_grid(spec, pts[:cut]))
+    assert np.array_equal(whole[cut:], log_tail_product_grid(spec, pts[cut:]))
+    assert np.array_equal(whole[chunk : 2 * chunk], log_tail_product_grid(spec, pts[chunk : 2 * chunk]))
+    for i in (0, 1, cut - 1, cut, 8999):
         lone = log_tail_product_grid(spec, pts[i : i + 1])[0]
         assert abs(whole[i] - lone) <= 1e-14 * abs(lone)
 
