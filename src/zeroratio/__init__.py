@@ -31,7 +31,6 @@ from .factors import (
     ZeroSet,
     cexpm1,
     guard_radius,
-    log_primary_factor_full,
     log_primary_factor_grid,
     log_tail_product_grid,
     primary_factor_grid,

@@ -18,6 +18,7 @@ order (--threads is accepted and ignored).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -25,6 +26,7 @@ import sys
 import numpy as np
 
 from .constants import (
+    MAX_GENUS,
     ClassParams,
     ParameterError,
     constant_Ap,
@@ -76,13 +78,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_complex(text: str) -> complex:
-    """'RE,IM' or a bare real, as for --eval and --center."""
+    """'RE,IM' or a bare real, both parts finite, as for --eval and --center."""
     parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) == 2:
-        return complex(float(parts[0]), float(parts[1]))
-    raise ValueError(f"expected RE,IM, got {text!r}")
+    if len(parts) > 2:
+        raise ValueError(f"expected RE,IM, got {text!r}")
+    value = complex(*map(float, parts))
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"parts must be finite, got {text!r}")
+    return value
 
 
 def _parse_coeffs(text: str) -> tuple[complex, ...]:
@@ -149,10 +152,12 @@ def _number_range(cast, low: float, high: float, low_inclusive: bool = False):
 
 
 _parse_delta = _number_range(float, 0.0, 1.0)
-_parse_positive = _number_range(float, 0.0, math.inf)  # --R, --eps, --radius, --r, --rmin, --rmax
+# --R, --eps, --radius, --r, --rmin, --rmax, --a and lemma 3's --mu
+_parse_positive = _number_range(float, 0.0, math.inf)
 _parse_non_negative = _number_range(float, 0.0, math.inf, low_inclusive=True)  # --poly-scale
 _parse_seed = _number_range(int, 0, math.inf, low_inclusive=True)  # --seed, --poly-seed
 _parse_finite = _number_range(float, -math.inf, math.inf)  # --angle
+_parse_genus = _number_range(int, 1, MAX_GENUS + 1, low_inclusive=True)  # --p-override, --p
 
 
 def _class_params(args) -> ClassParams:
@@ -291,8 +296,6 @@ def _verify_lemma3(args) -> list[VerificationReport]:
         coeffs = args.coeffs
     elif args.poly_seed is not None:
         degree = args.p if args.p is not None else 2
-        if degree < 1:
-            raise _UsageError("--p must be at least 1")
         rng = np.random.default_rng(args.poly_seed)
         table = vandermonde_cofactors(degree)
         Ap = constant_Ap(degree, args.mu, table)
@@ -372,8 +375,8 @@ def build_parser() -> _Parser:
     _add_class_flags(pc)
     pc.add_argument("--delta", type=_parse_delta, required=True, help="disk shrink exponent")
     pc.add_argument("--eps", type=_parse_positive, default=1.0, help="target accuracy")
-    pc.add_argument("--a", type=float, default=None, help="disk scale (default p+1)")
-    pc.add_argument("--p-override", dest="p_override", type=int, default=None,
+    pc.add_argument("--a", type=_parse_positive, default=None, help="disk scale (default p+1)")
+    pc.add_argument("--p-override", dest="p_override", type=_parse_genus, default=None,
                     help="force the genus instead of deriving it")
     pc.add_argument("--out", default=None, help="write JSON here instead of stdout")
     pc.set_defaults(handler=_cmd_constants)
@@ -444,8 +447,8 @@ def build_parser() -> _Parser:
                          help="tail-product smallness on the wide disk")
     v2.add_argument("--zeros", default=None, help="standalone outer zero CSV")
     _add_class_flags(v2, defaults=(0.5, 0.5, 1.0, 0.03, 1.0, 1.0))
-    v2.add_argument("--a", type=float, default=None, help="disk scale (default p+1)")
-    v2.add_argument("--p-override", dest="p_override", type=int, default=None)
+    v2.add_argument("--a", type=_parse_positive, default=None, help="disk scale (default p+1)")
+    v2.add_argument("--p-override", dest="p_override", type=_parse_genus, default=None)
     v2.set_defaults(handler=_cmd_verify)
 
     v3 = vsub.add_parser("lemma3", parents=[common],
@@ -454,9 +457,9 @@ def build_parser() -> _Parser:
                     help="comma-separated complex coefficients, constant first")
     v3.add_argument("--poly-seed", dest="poly_seed", type=_parse_seed, default=None,
                     help="draw an admissible polynomial from this seed")
-    v3.add_argument("--p", type=int, default=None, help="degree for --poly-seed")
+    v3.add_argument("--p", type=_parse_genus, default=None, help="degree for --poly-seed")
     v3.add_argument("--r", type=_parse_positive, default=2.0, help="segment base radius")
-    v3.add_argument("--mu", type=float, default=1.0, help="segment decay exponent")
+    v3.add_argument("--mu", type=_parse_positive, default=1.0, help="segment decay exponent")
     v3.set_defaults(handler=_cmd_verify)
 
     for name, blurb in (

@@ -173,8 +173,8 @@ def threshold_r2(a: float, p: int, delta: float, params: ClassParams) -> float:
     every ratio z/z_n inside the primary-factor log domain; and
     (C2*a^(p+1)/ln 2)^(1/mu) keeping the summed log below ln 2.
     """
-    if a <= 0:
-        raise ParameterError("a must be positive")
+    if not 0 < a < math.inf:  # NaN included
+        raise ParameterError(f"a must be positive and finite, got {a!r}")
     _check_delta(delta)
     c2 = constant_C2(p, params.sigma, params.rho)
     guard = _pow(a * (p + 1) / p, 1.0 / delta)

@@ -4,12 +4,14 @@ The building block is the genus-p primary factor
 
     E_p(xi) = (1 - xi) * exp(xi + xi^2/2 + ... + xi^p/p)
 
-whose logarithm, for |xi| < 1, is the tail series -sum_{k>p} xi^k / k.  On
-the guard disk |xi| <= p/(p+1) the log obeys |log E_p(xi)| <= |xi|^(p+1),
-which is what every tail estimate in the package rests on.  Products over
-zero sets are always accumulated in log form with compensated summation and
-exponentiated once, so the tiny quantity (product - 1) never suffers
-cancellation.
+whose logarithm, for |xi| < 1, is the tail series -sum_{k>p} xi^k / k.  One
+vectorized evaluator computes log E_p anywhere in the plane.  On the guard
+disk |xi| <= p/(p+1) the log obeys |log E_p(xi)| <= |xi|^(p+1), which is
+what every tail estimate in the package rests on, so a tail product checks
+the guard once per call, where it uses the bound.  Products over zero sets
+are accumulated in log form, by power sums for far zeros or by one direct
+factor-by-factor sum with compensated summation, and exponentiated once, so
+the tiny quantity (product - 1) never suffers cancellation.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .constants import ParameterError
 
 
-# points x zeros per block of primary-factor logs, here and in the model
-# evaluator: 256 KiB per complex temporary, so a block stays in a core's L2
+# points x zeros per block of the direct sum's primary-factor logs: 256 KiB
+# per complex temporary, so a block stays in a core's L2
 _NEAR_BLOCK = 16384
 
 
@@ -43,8 +45,7 @@ class ZeroSet:
     """A finite multiset of nonzero complex numbers with multiplicities.
 
     Entries are (location, multiplicity) pairs kept sorted by modulus
-    ascending.  The origin is excluded by construction; put origin zeros into
-    a model's explicit origin order instead.
+    ascending.  The origin is excluded by construction.
     """
 
     entries: tuple[tuple[complex, int], ...]
@@ -160,13 +161,6 @@ def guard_radius(p: int) -> float:
 _GUARD_SLACK = 1.0 + 1e-12
 
 
-def require_guard(reach: float, p: int) -> None:
-    """Raise DomainError when |xi| = reach leaves the genus-p guard disk."""
-    radius = guard_radius(p)
-    if reach > radius * _GUARD_SLACK:
-        raise DomainError(f"|xi| = {reach:.6g} outside the genus-{p} guard radius {radius:.6g}")
-
-
 def _partial_sum(xi: np.ndarray, p: int) -> np.ndarray:
     """The degree-p partial sum xi + xi^2/2 + ... + xi^p/p of -log(1 - xi)."""
     partial = np.zeros_like(xi)
@@ -177,27 +171,24 @@ def _partial_sum(xi: np.ndarray, p: int) -> np.ndarray:
     return partial
 
 
-def _explicit_log(xi: np.ndarray, p: int) -> np.ndarray:
-    """log E_p(xi) in the explicit form log1p(-xi) + partial sum."""
-    return np.log1p(-xi) + _partial_sum(xi, p)
-
-
 def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized log E_p over an array, series inside a split radius, explicit
-    log1p form outside.
+    """Vectorized log E_p over an array, for any xi: the tail series inside a
+    split radius, the explicit form log1p(-xi) + partial sum everywhere else.
 
     The split radius shrinks the explicit branch to where the cancellation
     between log1p(-xi) and the partial sum stays below ~1e-13 relative; the
-    series branch sums as many terms as the batch's own reach min(split,
-    max|xi|) needs for a 1e-19 remainder relative to the leading term.
+    series branch sums as many terms as the series points' own max|xi| needs
+    for a 1e-19 remainder relative to the leading term.  Far outside the
+    guard disk |log E_p| is of order one, so the explicit form carries no
+    cancellation risk there; its real part is -inf exactly at xi = 1.  Genus
+    0 is log1p(-xi) alone.
     """
-    if p < 1:
-        raise ParameterError("vectorized path requires genus >= 1")
     xi = np.asarray(xi, dtype=complex)
-    mag = np.abs(xi)
-    reach = float(np.max(mag, initial=0.0))
-    require_guard(reach, p)
-    radius = guard_radius(p)
+    if p < 0:
+        raise ParameterError("genus must be nonnegative")
+    if p == 0:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log1p(-xi)
     # The explicit branch subtracts the degree-p partial sum from log1p(-xi),
     # losing ~(p+1)(p+2)*eps*|xi| absolutely against a result of size
     # |xi|^(p+1)/(p+1).  Choosing the split so that split^p covers that loss
@@ -205,14 +196,17 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
     # up to ~12 (drifting toward 1e-11 at genus 20, where the guard disk
     # leaves no room to push the split further out).
     s_req = (3.3e-3 * (p + 1) * (p + 2)) ** (1.0 / p)
-    split = min(0.90 * radius, max(0.25, s_req))
+    split = min(0.90 * guard_radius(p), max(0.25, s_req))
     out = np.zeros_like(xi)
 
+    mag = np.abs(xi)
     small = mag <= split
+    s = float(np.max(mag, initial=0.0))  # s bounds |xi| at every series point
+    if s > split:  # a masked max, only for batches that mix the two branches
+        s = float(np.max(np.where(small, mag, 0.0)))
     del mag  # blocks of points x zeros are large: hold as few of them at once as possible
     if np.any(small):
         xs = xi if small.all() else xi[small]  # no copy in the common all-series case
-        s = min(split, reach)  # bounds |xi| at every series point
         # term count from the geometric remainder of the tail series at s
         terms = 8
         while s**terms * (p + 1) / ((p + terms + 1) * (1.0 - s)) > 1e-19 and terms < 4000:
@@ -227,30 +221,9 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
         out[small] = acc.ravel()
     large = ~small
     if np.any(large):
-        out[large] = _explicit_log(xi[large], p)
-    return out
-
-
-def log_primary_factor_full(xi: np.ndarray, p: int) -> np.ndarray:
-    """log E_p over an array with no domain restriction.
-
-    Delegates to the guarded series/explicit split inside the guard disk;
-    beyond it the explicit log1p(-xi) + partial-sum form carries no
-    cancellation risk because |log E_p| is of order one there.  The real
-    part is -inf exactly at xi = 1.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    if p == 0:
+        xl = xi[large]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log1p(-xi)
-    out = np.empty_like(xi)
-    inside = np.abs(xi) <= guard_radius(p)
-    if np.any(inside):
-        out[inside] = log_primary_factor_grid(xi[inside], p)
-    far = ~inside
-    if np.any(far):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out[far] = _explicit_log(xi[far], p)
+            out[large] = np.log1p(-xl) + _partial_sum(xl, p)
     return out
 
 
@@ -320,6 +293,41 @@ def cexpm1(w):
 # ---------------------------------------------------------------------------
 
 
+# zeros per block of the direct sum; blocks are summed with compensation
+_ZERO_BLOCK = 256
+
+
+def _log_direct_sum(z: np.ndarray, locations: np.ndarray, multiplicities: np.ndarray,
+                    p: int) -> np.ndarray:
+    """sum_n m_n log E_p(z/z_n) over a flat array, factor by factor.
+
+    Zeros are consumed in fixed-order blocks of _ZERO_BLOCK with a compensated
+    accumulator across blocks, so results are deterministic and the rounding
+    stays at the few-ulp level even for thousands of factors.  Points go in
+    chunks small enough that a block's points x zeros temporaries hold at
+    most _NEAR_BLOCK entries, which keeps them in cache.  A non-finite value
+    marks a point on a zero.
+    """
+    total = np.zeros_like(z)
+    mults = multiplicities.astype(float)
+    chunk = _NEAR_BLOCK // max(1, min(_ZERO_BLOCK, len(locations)))
+    for i in range(0, len(z) if len(locations) else 0, chunk):
+        pts = z[i : i + chunk, None]
+        acc = comp = np.zeros(len(pts), dtype=complex)
+        for start in range(0, len(locations), _ZERO_BLOCK):
+            locs = locations[start : start + _ZERO_BLOCK]
+            ratios = pts / locs
+            # complex division can leave z_n/z_n a rounding away from 1
+            ratios[pts == locs] = 1.0
+            y = log_primary_factor_grid(ratios, p) @ mults[start : start + _ZERO_BLOCK] - comp
+            del ratios  # before the next block's temporaries
+            t = acc + y
+            comp = (t - acc) - y
+            acc = t
+        total[i : i + chunk] = acc
+    return total
+
+
 @dataclass(frozen=True)
 class TailProductSpec:
     """A genus-p product over zeros at or beyond a cutoff radius."""
@@ -338,31 +346,30 @@ class TailProductSpec:
                 f"zero of modulus {self.zeros.min_modulus():.6g} below cutoff {self.cutoff:.6g}"
             )
 
+    def require_guard(self, z: np.ndarray) -> None:
+        """Raise DomainError when some |z/z_n| leaves the genus guard disk.
 
-def log_tail_product_grid(spec: TailProductSpec, z: np.ndarray, block: int = 256) -> np.ndarray:
+        The tail bounds hold only there; the largest ratio is max|z|/min|z_n|.
+        """
+        if not self.zeros.entries:
+            return
+        reach = float(np.max(np.abs(z), initial=0.0)) / self.zeros.min_modulus()
+        radius = guard_radius(self.genus)
+        if reach > radius * _GUARD_SLACK:
+            raise DomainError(
+                f"|xi| = {reach:.6g} outside the genus-{self.genus} guard radius {radius:.6g}"
+            )
+
+
+def log_tail_product_grid(spec: TailProductSpec, z: np.ndarray) -> np.ndarray:
     """log tail product by the direct sum of primary-factor logs.
 
     This is the factor-by-factor reference that the decomposition identity
-    checks the model evaluator against.  Zeros are consumed in fixed-order
-    blocks with a compensated accumulator across blocks, so results are
-    deterministic and the rounding stays at the few-ulp level even for
-    thousands of factors.  Points go in chunks of _NEAR_BLOCK // min(block,
-    zeros), which keeps the points x zeros temporaries of a block in cache.
+    checks the model evaluator against, independent of the power sums that
+    evaluator uses for far zeros.  Points reaching past the guard disk raise
+    DomainError.
     """
     z = np.asarray(z, dtype=complex)
-    flat = z.ravel()
-    total = np.zeros_like(flat)
-    locs, mults = spec.zeros.locations(), spec.zeros.multiplicities().astype(float)
-    chunk = max(1, _NEAR_BLOCK // max(1, min(block, len(locs))))
-    for i in range(0, len(flat) if len(locs) else 0, chunk):
-        pts = flat[i : i + chunk, None]
-        acc = comp = np.zeros(len(pts), dtype=complex)
-        for start in range(0, len(locs), block):
-            logs = log_primary_factor_grid(pts / locs[start : start + block], spec.genus)
-            y = logs @ mults[start : start + block] - comp
-            del logs  # before the next block's temporaries
-            t = acc + y
-            comp = (t - acc) - y
-            acc = t
-        total[i : i + chunk] = acc
-    return total.reshape(z.shape)
+    spec.require_guard(z)
+    logs = _log_direct_sum(z.ravel(), spec.zeros.locations(), spec.zeros.multiplicities(), spec.genus)
+    return logs.reshape(z.shape)

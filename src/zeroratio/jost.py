@@ -448,12 +448,11 @@ def ray_decay_fit(
     """
     if r_min <= 0 or r_max <= r_min:
         raise ParameterError("need 0 < r_min < r_max")
-    evaluate = fn.evaluate if hasattr(fn, "evaluate") else fn
     direction = np.exp(1j * angle)
     radii = np.geomspace(r_min, r_max, _RAY_SAMPLES)
     mids = np.sqrt(radii[:-1] * radii[1:])
     all_r = np.concatenate([radii, mids])
-    dist = np.abs(np.asarray(evaluate(all_r * direction), dtype=complex) - 1.0)
+    dist = np.abs(np.asarray(fn(all_r * direction), dtype=complex) - 1.0)
     if float(dist.max(initial=0.0)) < 1e-15:
         return RayFit(
             C1=0.0, mu=math.inf, angle=angle, r_min=r_min, r_max=r_max,
@@ -481,8 +480,7 @@ def ray_envelope_constant(fn, angle: float, mu: float, radii: np.ndarray) -> flo
     """Smallest C1 making |f - 1| <= C1 r^(-mu) hold at the given ray radii."""
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    evaluate = fn.evaluate if hasattr(fn, "evaluate") else fn
-    vals = np.asarray(evaluate(radii * np.exp(1j * angle)), dtype=complex)
+    vals = np.asarray(fn(radii * np.exp(1j * angle)), dtype=complex)
     return float(np.max(np.abs(vals - 1.0) * radii**mu, initial=0.0))
 
 
@@ -518,7 +516,6 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     whose maximum never exceeds e is reported degenerate with
     sigma = rho = 0.
     """
-    evaluate = fn.evaluate if hasattr(fn, "evaluate") else fn
     if radii is None:
         radii = np.geomspace(8.0, 200.0, 16)
     radii = np.asarray(sorted(float(r) for r in radii))
@@ -527,7 +524,7 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
 
     def circle_max(r: float) -> float:
         prev = None
-        for values in doubling_circle(evaluate, r, 256, 4096):
+        for values in doubling_circle(fn, r, 256, 4096):
             m = float(np.max(np.abs(values)))
             if prev is not None and abs(m - prev) <= 1e-3 * max(prev, 1e-300):
                 break

@@ -1,7 +1,7 @@
 """Constructed entire functions with prescribed zeros, and matched pairs.
 
-An EntireModel is a finite canonical product z^n * exp(g(z)) * prod E_p(z/z_k)
-with explicit zero locations and multiplicities.  A matched pair is two such
+An EntireModel is a finite canonical product exp(g(z)) * prod E_p(z/z_k) with
+explicit zero locations and multiplicities.  A matched pair is two such
 models that share every zero inside the disk B(0, R) and differ only in
 "outer" zeros of modulus >= R, which is exactly the configuration the ratio
 bound speaks about.  The builder measures the pair's ray envelope constants
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .constants import ClassParams, ParameterError, select_p, threshold_r1
-from .factors import _NEAR_BLOCK, TailProductSpec, ZeroSet, log_far_field, log_primary_factor_full
+from .factors import TailProductSpec, ZeroSet, _log_direct_sum, log_far_field
 from .jost import ray_envelope_constant
 from .report import format_float
 from .zeros import AnalyticFn
@@ -40,7 +40,8 @@ class PairConstructionError(RuntimeError):
 class EntireModel:
     """Finite canonical product with an optional polynomial exponent.
 
-    value(z) = z^origin_order * exp(poly(z)) * prod_k E_genus(z/z_k)^(m_k).
+    value(z) = exp(poly(z)) * prod_k E_genus(z/z_k)^(m_k), with every zero
+    off the origin (a ZeroSet excludes it).
     poly lists coefficients a0..a_deg in ascending powers; its degree must
     not exceed the genus.  Evaluation accumulates logarithms, so products
     with widely spread zeros neither overflow nor lose their exact zeros.
@@ -48,14 +49,11 @@ class EntireModel:
 
     genus: int
     zeros: ZeroSet
-    origin_order: int = 0
     poly: tuple[complex, ...] = ()
 
     def __post_init__(self):
         if self.genus < 0:
             raise ParameterError("genus must be nonnegative")
-        if self.origin_order < 0:
-            raise ParameterError("origin order must be nonnegative")
         if len(self.poly) > self.genus + 1:
             raise ParameterError(
                 f"polynomial degree {len(self.poly) - 1} exceeds genus {self.genus}"
@@ -70,29 +68,21 @@ class EntireModel:
         return np.polyval(self.poly[::-1], np.asarray(z, dtype=complex))
 
     def log_value(self, z) -> np.ndarray:
-        """Sum of factor logarithms; -inf real part marks an exact zero.
+        """Sum of factor logarithms; a non-finite value marks an exact zero.
 
         Zeros of modulus at least twice the batch's largest |z| enter through
-        their power sums (`log_far_field`); the others through blocks of
-        about _NEAR_BLOCK primary-factor logs, points x near zeros.
+        their power sums (`log_far_field`); the others through the direct
+        factor-by-factor sum that the tail reference uses too.
         """
         w = np.asarray(z, dtype=complex).ravel()
         total = self.poly_value(w)
         locs, mults = self.zeros.locations(), self.zeros.multiplicities()
         far = self.zeros.moduli() >= 2.0 * np.max(np.abs(w), initial=0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.origin_order:
-                total = total + self.origin_order * np.log(w)
             if np.any(far):
                 total = total + log_far_field(w, locs[far], mults[far], self.genus)
-            near_locs, near_mults = locs[~far], mults[~far].astype(float)
-            step = max(1, _NEAR_BLOCK // max(1, len(near_locs)))
-            for i in range(0, len(w) if len(near_locs) else 0, step):
-                block = w[i : i + step, None]
-                ratios = block / near_locs
-                # complex division can leave z_n/z_n a rounding away from 1
-                ratios[block == near_locs] = 1.0
-                total[i : i + step] += log_primary_factor_full(ratios, self.genus) @ near_mults
+            if not far.all():
+                total = total + _log_direct_sum(w, locs[~far], mults[~far], self.genus)
         return total.reshape(np.shape(z))
 
     def evaluate(self, z):
@@ -104,10 +94,6 @@ class EntireModel:
 
     def as_analytic_fn(self) -> AnalyticFn:
         return AnalyticFn(evaluator=lambda w: np.asarray(self.evaluate(w)))
-
-    def count_within(self, radius: float) -> int:
-        n = self.zeros.count_within(radius)
-        return n + self.origin_order if radius > 0 else n
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +119,15 @@ class CountCompliance:
     worst_bound: float
 
 
-def count_compliance(zeros: ZeroSet, params: ClassParams, origin_order: int = 0) -> CountCompliance:
+def count_compliance(zeros: ZeroSet, params: ClassParams) -> CountCompliance:
     r1 = threshold_r1(params)
     rate = params.count_rate()
     moduli = zeros.moduli()
-    mults = zeros.multiplicities()
-    if len(moduli) == 0 and origin_order == 0:
+    if len(moduli) == 0:
         return CountCompliance(True, math.inf, r1, 0, rate * r1**params.rho)
-    cumulative = origin_order + np.cumsum(mults) if len(moduli) else np.array([origin_order])
+    cumulative = np.cumsum(zeros.multiplicities())
     radii = [r1]
-    counts = [origin_order + int(zeros.count_within(r1))]
+    counts = [zeros.count_within(r1)]
     for s, n in zip(moduli, cumulative):
         if s >= r1:
             radii.append(float(s))

@@ -32,7 +32,7 @@ from .constants import (
     threshold_r2,
     vandermonde_cofactors,
 )
-from .factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid, require_guard
+from .factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid
 from .grids import DiskGrid, segment_points
 from .models import CountCompliance, EntireModel, PairBuild, count_compliance
 from .report import Precondition, VerificationReport, precondition
@@ -121,8 +121,7 @@ def _tail_log(tail: TailProductSpec, z: np.ndarray) -> np.ndarray:
     The tail bounds hold only while every |z/z_n| stays in the genus guard
     disk, so points reaching past it raise DomainError.
     """
-    if len(tail.zeros):
-        require_guard(float(np.max(np.abs(z), initial=0.0)) / tail.zeros.min_modulus(), tail.genus)
+    tail.require_guard(z)
     return EntireModel(genus=tail.genus, zeros=tail.zeros).log_value(z)
 
 

@@ -88,12 +88,7 @@ class AnalyticFn:
 
 
 def as_analytic(f) -> AnalyticFn:
-    if isinstance(f, AnalyticFn):
-        return f
-    evaluator = getattr(f, "evaluate", None)
-    if callable(evaluator) and not callable(f):
-        return AnalyticFn(evaluator=evaluator)
-    return AnalyticFn(evaluator=f)
+    return f if isinstance(f, AnalyticFn) else AnalyticFn(evaluator=f)
 
 
 # ---------------------------------------------------------------------------

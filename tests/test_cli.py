@@ -122,6 +122,19 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["jost", "--kernel", "{kernel}", "--ray-fit", "--rmax", "0"], "argument --rmax"),
     (["jost", "--kernel", "{kernel}", "--ray-fit", "--angle", "nan"], "argument --angle"),
     (["jost", "--kernel", "{kernel}", "--ray-fit", "--rmin", "5", "--rmax", "2"], "--rmin"),
+    (["constants", "--C0", "2", "--sigma", "1", "--a", "nan"] + _CLASS, "argument --a"),
+    (["constants", "--C0", "2", "--sigma", "1", "--a", "0"] + _CLASS, "argument --a"),
+    (["constants", "--C0", "2", "--sigma", "1", "--a", "-2"] + _CLASS, "argument --a"),
+    (["constants", "--C0", "2", "--sigma", "1", "--a", "inf"] + _CLASS, "argument --a"),
+    (["verify", "lemma2", "--zeros", "{pair}", "--R", "10", "--a", "nan"], "argument --a"),
+    (["verify", "lemma3", "--poly-seed", "0", "--mu", "nan"], "argument --mu"),
+    (["verify", "lemma3", "--poly-seed", "0", "--mu", "0"], "argument --mu"),
+    (["constants", "--C0", "2", "--sigma", "1", "--p-override", "0"] + _CLASS, "argument --p-override"),
+    (["constants", "--C0", "2", "--sigma", "1", "--p-override", "25"] + _CLASS, "argument --p-override"),
+    (["verify", "lemma3", "--poly-seed", "0", "--p", "25"], "argument --p"),
+    (["verify", "lemma3", "--poly-seed", "0", "--p", "0"], "argument --p"),
+    (["zeros", "--radius", "10", "--center", "nan,0"], "argument --center"),
+    (["jost", "--kernel", "{kernel}", "--eval", "1,inf"], "argument --eval"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"

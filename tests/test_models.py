@@ -13,9 +13,8 @@ from zeroratio.constants import (
     select_p,
     threshold_r1,
 )
-from zeroratio.factors import ZeroSet, guard_radius
+from zeroratio.factors import _NEAR_BLOCK, ZeroSet, guard_radius
 from zeroratio.models import (
-    _NEAR_BLOCK,
     EntireModel,
     PairConstructionError,
     build_pair,
@@ -74,16 +73,16 @@ def test_poly_value_equals_horner_loop_bitwise():
         assert np.array_equal(model.poly_value(z), acc)
 
 
-def test_model_vanishes_exactly_at_zeros_and_origin():
+def test_model_vanishes_exactly_at_zeros():
     zeros = ZeroSet.from_points([2.0 + 0.0j])
-    model = EntireModel(genus=1, zeros=zeros, origin_order=2)
-    assert model(0.0) == 0.0
+    model = EntireModel(genus=1, zeros=zeros)
+    assert model(0.0) == 1.0
     assert model(2.0 + 0.0j) == 0.0
-    assert model.count_within(1.0) == 2
-    assert model.count_within(3.0) == 3
+    assert model.zeros.count_within(1.0) == 0
+    assert model.zeros.count_within(3.0) == 1
 
 
-def _mixed_model(rng, genus, origin_order, with_poly):
+def _mixed_model(rng, genus, with_poly):
     """Zeros at moduli 1-4 and 6-40, multiplicities 1-2, optional extras."""
     radii = np.concatenate([rng.uniform(1.0, 4.0, rng.integers(3, 10)),
                             rng.uniform(6.0, 40.0, rng.integers(10, 60))])
@@ -92,15 +91,14 @@ def _mixed_model(rng, genus, origin_order, with_poly):
     if with_poly:
         poly = tuple(0.1 * complex(*rng.normal(size=2)) / 3.0**j for j in range(genus + 1))
     return EntireModel(genus=genus, zeros=ZeroSet.from_points(locs, rng.integers(1, 3, len(locs))),
-                       origin_order=origin_order, poly=poly)
+                       poly=poly)
 
 
 def _mpmath_value(model, z):
     """The canonical product at z in 40-digit arithmetic, factor by factor."""
     with mpmath.workdps(40):
         w = mpmath.mpc(z.real, z.imag)
-        value = w**model.origin_order * mpmath.exp(
-            sum(mpmath.mpc(c) * w**k for k, c in enumerate(model.poly)))
+        value = mpmath.exp(sum(mpmath.mpc(c) * w**k for k, c in enumerate(model.poly)))
         for loc, mult in model.zeros:
             xi = w / mpmath.mpc(loc.real, loc.imag)
             partial = sum(xi**k / k for k in range(1, model.genus + 1))
@@ -112,17 +110,16 @@ def _term_magnitude(model, z):
     """Sum of the magnitudes of every term the log of psi(z) adds up.
 
     Those are m log(1 - xi), m xi^k/k for k <= genus, m |xi|/|1 - xi| for the
-    rounding of xi = z/z_n, the origin term and the exponent's terms; a few
-    ulps of each bound the log's absolute error, and so the value's relative
-    error, of any factor-by-factor evaluation.
+    rounding of xi = z/z_n, and the exponent's terms; a few ulps of each bound
+    the log's absolute error, and so the value's relative error, of any
+    factor-by-factor evaluation.
     """
     xi = z / model.zeros.locations()
     a = np.abs(xi)
     per_zero = np.abs(np.log(1.0 - xi)) + a / np.abs(1.0 - xi)
     per_zero += sum(a**k / k for k in range(1, model.genus + 1))
     poly = sum(abs(c) * abs(z) ** k for k, c in enumerate(model.poly))
-    return 1.0 + model.origin_order * abs(np.log(z)) + poly + float(
-        np.sum(model.zeros.multiplicities() * per_zero))
+    return 1.0 + poly + float(np.sum(model.zeros.multiplicities() * per_zero))
 
 
 def _accuracy_draws(count=20):
@@ -130,8 +127,7 @@ def _accuracy_draws(count=20):
     rng = np.random.default_rng(20)
     for draw in range(count):
         genus = 1 + draw % 5
-        model = _mixed_model(rng, genus, origin_order=draw % 2 * (1 + draw % 3),
-                             with_poly=draw % 4 >= 2)
+        model = _mixed_model(rng, genus, with_poly=draw % 4 >= 2)
         # from well inside the guard radius of the nearest zero to beyond it
         scale = model.zeros.min_modulus() * guard_radius(genus)
         pts = scale * np.geomspace(0.02, 4.0, 24) * np.exp(2j * math.pi * rng.random(24))
@@ -164,8 +160,8 @@ def test_evaluate_vanishes_at_exact_zeros_in_any_batch():
     # -9.1636 + 4.8539j is off both axes: numpy's z_n/z_n is not exactly 1 there
     zeros = ZeroSet.from_points([1.5 + 0j, -2.0j, 9.0 + 0j, 30.0j, -9.1636 + 4.8539j], [1, 2, 1, 2, 1])
     for genus in (1, 3):
-        model = EntireModel(genus=genus, zeros=zeros, origin_order=1, poly=(0.1, 0.02j))
-        targets = np.concatenate([[0.0], zeros.locations()])
+        model = EntireModel(genus=genus, zeros=zeros, poly=(0.1, 0.02j))
+        targets = zeros.locations()
         assert np.all(model.evaluate(targets) == 0.0)
         for z in targets:
             assert model(z) == 0.0
@@ -227,8 +223,8 @@ def test_random_pair_builds_and_measures():
     assert build.measured.compliance_a.ok and build.measured.compliance_b.ok
     # inside B(0, R) both models carry exactly the shared zeros
     shared_count = spec.shared.total_multiplicity
-    assert build.psi1.count_within(spec.R) == shared_count
-    assert build.psi2.count_within(spec.R) == shared_count
+    assert build.psi1.zeros.count_within(spec.R) == shared_count
+    assert build.psi2.zeros.count_within(spec.R) == shared_count
     assert build.tail_spec_a().cutoff == spec.R
     assert build.tail_spec_b().genus == build.p
 
@@ -287,13 +283,13 @@ def test_build_rejects_rate_violation_and_names_radius():
 def test_pair_build_evaluates_only_the_two_ray_envelopes(monkeypatch):
     spec = engineered_pair(0).spec
     sizes = []
-    evaluate = EntireModel.evaluate
+    log_value = EntireModel.log_value  # every evaluation, called or by name, goes through it
 
     def counting(self, z):
         sizes.append(int(np.size(z)))
-        return evaluate(self, z)
+        return log_value(self, z)
 
-    monkeypatch.setattr(EntireModel, "evaluate", counting)
+    monkeypatch.setattr(EntireModel, "log_value", counting)
     build_pair(spec)
     assert sizes == [129, 129]
 
