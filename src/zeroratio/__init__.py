@@ -22,7 +22,6 @@ from .constants import (
     threshold_c,
     threshold_r1,
     threshold_r2,
-    thresholds_r3_r4_r5,
     vandermonde_cofactors,
 )
 from .factors import (

@@ -32,7 +32,6 @@ from .constants import (
     constant_Ap,
     derive_constants,
     select_p,
-    vandermonde_cofactors,
 )
 from .factors import ZeroSet
 from .grids import parse_disk_grid
@@ -99,6 +98,11 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
     if not out:
         raise ValueError("empty coefficient list")
     return tuple(out)
+
+
+# argparse names a type that raises ValueError by its __name__ ("invalid complex value")
+_parse_complex.__name__ = "complex"
+_parse_coeffs.__name__ = "complex list"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -297,8 +301,7 @@ def _verify_lemma3(args) -> list[VerificationReport]:
     elif args.poly_seed is not None:
         degree = args.p if args.p is not None else 2
         rng = np.random.default_rng(args.poly_seed)
-        table = vandermonde_cofactors(degree)
-        Ap = constant_Ap(degree, args.mu, table)
+        Ap = constant_Ap(degree, args.mu)
         try:
             scales = [args.r ** -(j - 1) for j in range(1, degree + 2)]
         except OverflowError:

@@ -7,8 +7,11 @@ Everything in this module is a closed-form function of the class parameters
 describing entire functions psi with |psi(z)| <= C0*exp(sigma*|z|^rho) outside
 radius r0 and |psi(z) - 1| <= C1/|z|^mu along some ray, plus the proximity
 budget delta in (0, 1).  No numerics beyond ordinary floating point enter
-here except for the Vandermonde cofactor table, which is computed in exact
-integer arithmetic and only weighted in floating point at the very end.
+here except for the Vandermonde cofactor table on the nodes 1..p+1.  That
+table is exact integer data, built once per genus: its determinant is the
+closed form 1!*2!*...*p! (the tests check it against an exact elimination),
+its cofactors come from Lagrange interpolation with exact divisions, and it
+is weighted in floating point only at the very end.
 
 The derived objects are:
 
@@ -25,6 +28,7 @@ OverflowError, and DerivedConstants.warnings names every threshold that is
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -199,9 +203,10 @@ class CofactorTable:
     """Exact cofactor table of the Vandermonde matrix on nodes 1..p+1.
 
     Entry (k, j) of the matrix is k^(j-1) (row index k = 1..p+1, column index
-    j = 1..p+1).  `det` is the determinant, equal to the superfactorial
-    1!*2!*...*p!.  `cofactors[k-1][j-1]` is the signed cofactor of entry
-    (k, j); all values are exact Python integers.
+    j = 1..p+1).  `det` is the determinant, the closed form 1!*2!*...*p!
+    (the tests check it against an exact elimination).  `cofactors[k-1][j-1]`
+    is the signed cofactor of entry (k, j); all values are exact Python
+    integers.  vandermonde_cofactors builds one table per genus and shares it.
     """
 
     p: int
@@ -234,97 +239,46 @@ class CofactorTable:
         return math.fsum(terms)
 
 
-def bareiss_determinant(matrix: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
-
-    Bareiss' algorithm: every division below is exact in the integers, so no
-    rounding ever occurs.
-    """
-    m = [list(row) for row in matrix]
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ParameterError("matrix must be square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            for swap in range(col + 1, n):
-                if m[swap][col] != 0:
-                    m[col], m[swap] = m[swap], m[col]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for row in range(col + 1, n):
-            for j in range(col + 1, n):
-                m[row][j] = (m[row][j] * m[col][col] - m[row][col] * m[col][j]) // prev
-            m[row][col] = 0
-        prev = m[col][col]
-    return sign * m[n - 1][n - 1]
-
-
-def _superfactorial(p: int) -> int:
-    out = 1
-    f = 1
-    for k in range(1, p + 1):
-        f *= k
-        out *= f
-    return out
-
-
 def vandermonde_cofactors(p: int) -> CofactorTable:
-    """Exact cofactor table for the nodes 1, 2, ..., p+1.
+    """Exact cofactor table for the nodes 1, 2, ..., p+1, built once per genus.
 
-    The determinant is computed by fraction-free elimination and checked
-    against the closed form 1!*2!*...*p!.  Cofactors come from Lagrange
-    interpolation: the inverse matrix columns are the coefficient vectors of
-    the Lagrange basis polynomials, and scaling by the determinant gives the
-    adjugate, whose transpose entries are the cofactors.  Every division is
-    exact.
+    The genus is checked on every call, before the cache is consulted.  The
+    determinant is the closed form 1!*2!*...*p!; the tests check it against
+    an exact elimination for every genus up to MAX_GENUS.
+    Cofactors come from Lagrange interpolation: the inverse matrix columns
+    are the coefficient vectors of the Lagrange basis polynomials, and
+    scaling by the determinant gives the adjugate, whose transpose entries
+    are the cofactors.  Every division is checked to be exact.
     """
     _check_genus(p)
-    n = p + 1
-    nodes = list(range(1, n + 1))
-    matrix = [[k ** j for j in range(n)] for k in nodes]
-    det = bareiss_determinant(matrix)
-    expected = _superfactorial(p)
-    if det != expected:
-        raise ArithmeticError(
-            f"Vandermonde determinant mismatch: elimination gave {det}, product of factorials {expected}"
-        )
+    return _cofactor_table(p)
 
-    cof_rows: list[list[int]] = [[0] * n for _ in range(n)]
-    for idx, k in enumerate(nodes):
-        # numerator polynomial of the Lagrange basis at node k
+
+@functools.cache
+def _cofactor_table(p: int) -> CofactorTable:
+    nodes = range(1, p + 2)
+    det = math.prod(math.factorial(k) for k in range(1, p + 1))
+    rows = []
+    for k in nodes:
+        # numerator polynomial of the Lagrange basis at node k: prod over m != k of (x - m)
         coeffs = [1]
         for m in nodes:
-            if m == k:
-                continue
-            nxt = [0] * (len(coeffs) + 1)
-            for d, cd in enumerate(coeffs):
-                nxt[d] -= m * cd
-                nxt[d + 1] += cd
-            coeffs = nxt
-        denom = 1
-        for m in nodes:
             if m != k:
-                denom *= k - m
-        for j in range(n):
-            numerator = det * coeffs[j]
-            quotient, remainder = divmod(numerator, denom)
-            if remainder != 0:
-                raise ArithmeticError("cofactor division was not exact")
-            cof_rows[idx][j] = quotient
-    return CofactorTable(p=p, det=det, cofactors=tuple(tuple(row) for row in cof_rows))
+                coeffs = [shifted - m * c for shifted, c in zip([0] + coeffs, coeffs + [0])]
+        denom = math.prod(k - m for m in nodes if m != k)
+        quotients = [divmod(det * c, denom) for c in coeffs]
+        if any(remainder for _, remainder in quotients):
+            raise ArithmeticError("cofactor division was not exact")
+        rows.append(tuple(quotient for quotient, _ in quotients))
+    return CofactorTable(p=p, det=det, cofactors=tuple(rows))
 
 
-def constant_Ap(p: int, mu: float, table: CofactorTable | None = None) -> float:
+def constant_Ap(p: int, mu: float) -> float:
     """Cramer amplification constant A_p for ray-decay exponent mu.
 
     A_p = (1/W) * sum over rows k and columns j of |cofactor(k, j)| * j^(-mu),
-    with W the Vandermonde determinant.  The weight j^(-mu) attaches to the
+    with W = 1!*2!*...*p! the Vandermonde determinant, read from the one
+    cofactor table of genus p.  The weight j^(-mu) attaches to the
     cofactor's column index; summing the first column alone already gives
     2^(p+1) - 1 exactly, so A_p always exceeds that floor.  The integer parts
     are exact; floating point enters only through the j^(-mu) weights and the
@@ -332,10 +286,7 @@ def constant_Ap(p: int, mu: float, table: CofactorTable | None = None) -> float:
     """
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    if table is None:
-        table = vandermonde_cofactors(p)
-    elif table.p != p:
-        raise ParameterError(f"cofactor table is for genus {table.p}, not {p}")
+    table = vandermonde_cofactors(p)
     col_sums = table.column_abs_sums()
     terms = [
         float(Fraction(col_sums[j], table.det)) * float(j + 1) ** (-mu)
@@ -377,7 +328,7 @@ def _rational_neg_power_interval(k: int, mu: Fraction, bits: int = 96) -> tuple[
     return Fraction(1 << bits, t + 1), Fraction(1 << bits, t)
 
 
-def constant_Ap_interval(p: int, mu: Union[Fraction, int], table: CofactorTable | None = None) -> tuple[Fraction, Fraction]:
+def constant_Ap_interval(p: int, mu: Union[Fraction, int]) -> tuple[Fraction, Fraction]:
     """Exact rational enclosure of A_p for a rational exponent mu.
 
     For integer mu the enclosure is a point.  Used to certify strict
@@ -386,8 +337,7 @@ def constant_Ap_interval(p: int, mu: Union[Fraction, int], table: CofactorTable 
     mu = Fraction(mu)
     if mu <= 0:
         raise ParameterError("mu must be positive")
-    if table is None:
-        table = vandermonde_cofactors(p)
+    table = vandermonde_cofactors(p)
     col_sums = table.column_abs_sums()
     lo = Fraction(0)
     hi = Fraction(0)
@@ -403,36 +353,17 @@ def constant_Ap_interval(p: int, mu: Union[Fraction, int], table: CofactorTable 
 # ---------------------------------------------------------------------------
 
 
-def thresholds_r3_r4_r5(
-    p: int,
-    delta: float,
-    params: ClassParams,
-    table: CofactorTable | None = None,
-) -> tuple[float, float, float]:
-    """The three large activation radii of the ratio comparison.
-
-    r3 = max(r2 at a = p+1, (6*C2*(p+1)^(p+1))^(1/mu)) keeps the ratio-tail
-    error eta2 below 1/3; r4 = (36*C1*A_p)^(1/(mu*(1-delta))) keeps the
-    amplified segment bound below 1/2; r5 = (2*(p+1)^(p+1)*C2/C1)^(1/(mu*delta))
-    makes the tail error dominated by the ray error.  A radius that overflows
-    double precision is +inf.
-    """
-    _check_delta(delta)
-    c2 = constant_C2(p, params.sigma, params.rho)
-    a = float(p + 1)
-    r2 = threshold_r2(a, p, delta, params)
-    r3 = max(r2, _pow(6.0 * c2 * a ** (p + 1), 1.0 / params.mu))
-    ap = constant_Ap(p, params.mu, table)
-    r4 = _pow(36.0 * params.C1 * ap, 1.0 / (params.mu * (1.0 - delta)))
-    r5 = _pow(2.0 * a ** (p + 1) * c2 / params.C1, 1.0 / (params.mu * delta))
-    return r3, r4, r5
-
-
 @dataclass(frozen=True)
 class StageConstants:
     """Constants of one delta-stage of the activation-radius computation.
 
     r2 is taken at the disk scale a = p + 1; W is the Vandermonde determinant.
+    The three large radii of the ratio comparison are
+    r3 = max(r2, (6*C2*(p+1)^(p+1))^(1/mu)), which keeps the ratio-tail error
+    eta2 below 1/3; r4 = (36*C1*A_p)^(1/(mu*(1-delta))), which keeps the
+    amplified segment bound below 1/2; and r5 = (2*(p+1)^(p+1)*C2/C1)^(1/(mu*delta)),
+    which makes the tail error dominated by the ray error.  A radius that
+    overflows double precision is +inf.
     """
 
     delta: float
@@ -457,22 +388,23 @@ def _stage_constants(
     params: ClassParams, delta: float, p_override: int | None = None
 ) -> StageConstants:
     p = select_p(params.rho, params.mu, delta) if p_override is None else p_override
-    _check_genus(p)
-    table = vandermonde_cofactors(p)
-    r3, r4, r5 = thresholds_r3_r4_r5(p, delta, params, table)
+    c2 = constant_C2(p, params.sigma, params.rho)
+    a = float(p + 1)
+    r2 = threshold_r2(a, p, delta, params)
+    ap = constant_Ap(p, params.mu)
     return StageConstants(
         delta=delta,
         p=p,
         c=threshold_c(params),
         r1=threshold_r1(params),
-        r2=threshold_r2(float(p + 1), p, delta, params),
-        r3=r3,
-        r4=r4,
-        r5=r5,
-        C2=constant_C2(p, params.sigma, params.rho),
-        C3=constant_C3(p, params.sigma, params.rho),
-        W=table.det,
-        Ap=constant_Ap(p, params.mu, table),
+        r2=r2,
+        r3=max(r2, _pow(6.0 * c2 * a ** (p + 1), 1.0 / params.mu)),
+        r4=_pow(36.0 * params.C1 * ap, 1.0 / (params.mu * (1.0 - delta))),
+        r5=_pow(2.0 * a ** (p + 1) * c2 / params.C1, 1.0 / (params.mu * delta)),
+        C2=c2,
+        C3=2.0 * c2 * a ** (p + 1),
+        W=vandermonde_cofactors(p).det,
+        Ap=ap,
     )
 
 

@@ -238,8 +238,7 @@ def check_lemma3(
         raise ParameterError("the amplification bound needs a polynomial of degree >= 1")
     if r <= 0:
         raise ParameterError("segment base radius must be positive")
-    table = vandermonde_cofactors(p)
-    Ap = constant_Ap(p, mu, table)
+    Ap = constant_Ap(p, mu)
 
     def g(z):
         return np.polyval(coeffs[::-1], np.asarray(z, dtype=complex))
@@ -256,6 +255,7 @@ def check_lemma3(
     bound = 2.0 * eps * Ap
 
     # exact Cramer reconstruction from the node samples g(kr)
+    table = vandermonde_cofactors(p)
     nodes = r * np.arange(1, p + 2, dtype=float)
     zeta = g(nodes.astype(complex))
     recon = []

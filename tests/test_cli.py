@@ -135,6 +135,8 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["verify", "lemma3", "--poly-seed", "0", "--p", "0"], "argument --p"),
     (["zeros", "--radius", "10", "--center", "nan,0"], "argument --center"),
     (["jost", "--kernel", "{kernel}", "--eval", "1,inf"], "argument --eval"),
+    (["zeros", "--radius", "3", "--center", "1,2,3"], "invalid complex value"),
+    (["verify", "lemma3", "--coeffs", ","], "invalid complex list value"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
@@ -145,6 +147,32 @@ def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     assert rc == 64
     assert flag in err
     assert "Traceback" not in err
+    assert "_parse" not in err  # argparse names the kind of value, not a private parser
+
+
+_VALID = [
+    ["constants", "--C0", "2", "--C1", "1", "--rho", "1", "--sigma", "1", "--mu", "1",
+     "--r0", "1", "--delta", "0.5"],
+    ["verify", "lemma3", "--poly-seed", "3", "--p", "2", "--grid", "4x16"],
+]
+_INVALID = [
+    ["verify", "lemma3", "--coeffs", ","],
+    ["constants", "--C1", "1", "--delta", "0.5"],
+    ["verify", "theorem", "--grid", "0x0"],
+    ["zeros", "--radius", "3", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("valid", _VALID)
+def test_usage_error_leaves_later_calls_unchanged(valid, capsys):
+    assert run(valid) == 0
+    alone = capsys.readouterr()
+    for bad in _INVALID:
+        assert run(bad) == 64
+        assert capsys.readouterr().out == ""
+        assert run(valid) == 0
+        after = capsys.readouterr()
+        assert (after.out, after.err) == (alone.out, alone.err)
 
 
 @pytest.mark.parametrize("content", ["re,im,mult\n1.0,0.0,1\n", '{"shared_zeros": "s.csv"}\n'])

@@ -2,8 +2,9 @@
 
 The cofactor table and determinant must be exactly right (everything
 downstream leans on them), so they are cross-checked against independent
-implementations: permutation-expansion determinants, adjugate identities in
-exact integers, and mpmath recomputation of every derived radius.
+implementations: exact rational elimination and permutation-expansion
+determinants, adjugate identities in exact integers, and mpmath
+recomputation of every derived radius.
 """
 
 import itertools
@@ -16,6 +17,7 @@ import mpmath
 import pytest
 
 from zeroratio.constants import (
+    MAX_GENUS,
     ClassParams,
     ParameterError,
     constant_Ap,
@@ -28,7 +30,6 @@ from zeroratio.constants import (
     threshold_c,
     threshold_r1,
     threshold_r2,
-    thresholds_r3_r4_r5,
     vandermonde_cofactors,
 )
 
@@ -66,12 +67,25 @@ def permutation_determinant(matrix):
     return total
 
 
-def superfactorial(p):
-    out, f = 1, 1
-    for k in range(1, p + 1):
-        f *= k
-        out *= f
-    return out
+def elimination_determinant(matrix):
+    """Exact determinant by Gaussian elimination over the rationals."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            factor = m[r][col] / m[col][col]
+            for j in range(col, n):
+                m[r][j] -= factor * m[col][j]
+    assert det.denominator == 1
+    return det.numerator
 
 
 def minor_determinant(matrix, drop_row, drop_col):
@@ -88,12 +102,25 @@ def minor_determinant(matrix, drop_row, drop_col):
 # ---------------------------------------------------------------------------
 
 
-def test_determinant_equals_superfactorial_up_to_ten():
-    start = time.time()
-    for p in range(1, 11):
-        table = vandermonde_cofactors(p)
-        assert table.det == superfactorial(p)
-    assert time.time() - start < 1.0
+def test_determinant_matches_exact_elimination_up_to_max_genus():
+    # the source writes det in closed form; this elimination is the check
+    for p in range(1, MAX_GENUS + 1):
+        n = p + 1
+        matrix = [[k ** j for j in range(n)] for k in range(1, n + 1)]
+        assert vandermonde_cofactors(p).det == elimination_determinant(matrix)
+
+
+def test_cofactor_tables_are_built_once_per_genus():
+    tables = [vandermonde_cofactors(p) for p in range(1, MAX_GENUS + 1)]
+    assert all(vandermonde_cofactors(p) is t for p, t in enumerate(tables, start=1))
+
+
+def test_cofactor_table_rejects_non_integer_genus_after_caching():
+    # True and 1.0 compare equal to 1: a cached genus 1 must not answer for them
+    vandermonde_cofactors(1)
+    for genus in (True, 1.0, 0, MAX_GENUS + 1):
+        with pytest.raises(ParameterError):
+            vandermonde_cofactors(genus)
 
 
 def test_determinant_matches_permutation_expansion():
@@ -161,9 +188,8 @@ def test_Ap_exceeds_binomial_floor_exact():
     start = time.time()
     for p in range(1, 11):
         floor = 2 ** (p + 1) - 1
-        table = vandermonde_cofactors(p)
         for mu in (Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5)):
-            lo, hi = constant_Ap_interval(p, mu, table)
+            lo, hi = constant_Ap_interval(p, mu)
             assert lo > floor, f"p={p} mu={mu}: lower enclosure {lo} <= {floor}"
             assert hi >= lo
     assert time.time() - start < 10.0
@@ -171,10 +197,9 @@ def test_Ap_exceeds_binomial_floor_exact():
 
 def test_Ap_interval_brackets_float_value():
     for p in (1, 2, 3, 5, 8):
-        table = vandermonde_cofactors(p)
         for mu in (Fraction(1, 2), Fraction(3), Fraction(7, 4)):
-            lo, hi = constant_Ap_interval(p, mu, table)
-            mid = constant_Ap(p, float(mu), table)
+            lo, hi = constant_Ap_interval(p, mu)
+            mid = constant_Ap(p, float(mu))
             assert float(lo) <= mid * (1 + 1e-12)
             assert mid * (1 - 1e-12) <= float(hi)
             assert float(hi - lo) <= 1e-18 * float(hi)
@@ -204,7 +229,7 @@ def test_Ap_against_mpmath_recomputation():
         for j in range(n):
             col = sum(abs(table.cofactors[k][j]) for k in range(n))
             acc += mpmath.mpf(col) / table.det * mpmath.power(j + 1, -2.5)
-        mine = constant_Ap(p, 2.5, table)
+        mine = constant_Ap(p, 2.5)
         assert abs(mine - float(acc)) <= 1e-13 * float(acc)
 
 
@@ -215,7 +240,7 @@ def test_column_weighting_dominates_row_weighting():
     for p in range(1, 11):
         table = vandermonde_cofactors(p)
         for mu in (0.5, 1.0, 2.0, 5.0):
-            a_col = constant_Ap(p, mu, table)
+            a_col = constant_Ap(p, mu)
             a_row = sum(
                 table.row_weighted_column_sum(j, mu) for j in range(1, p + 2)
             )
@@ -311,7 +336,8 @@ def test_threshold_chain_matches_mpmath(params, delta):
     assert constant_C2(p, params.sigma, params.rho) == pytest.approx(float(C2_mp), rel=1e-12)
     a = float(p + 1)
     assert threshold_r2(a, p, delta, params) == pytest.approx(float(r2_mp), rel=1e-12)
-    r3, r4, r5 = thresholds_r3_r4_r5(p, delta, params)
+    main = derive_constants(params, delta, p_override=p).main
+    r3, r4, r5 = main.r3, main.r4, main.r5
     assert r3 == pytest.approx(float(r3_mp), rel=1e-12)
     assert r4 == pytest.approx(float(r4_mp), rel=1e-12)
     assert r5 == pytest.approx(float(r5_mp), rel=1e-12)
@@ -403,7 +429,8 @@ def test_every_threshold_power_overflows_to_inf():
     assert math.isinf(threshold_r2(1e100, 3, 0.5, params))  # smallness term
     assert math.isinf(threshold_r2(1e5, 3, 0.01, params))  # guard term
     slow = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=1.0, mu=1e-3)
-    assert all(math.isinf(r) for r in thresholds_r3_r4_r5(2, 0.5, slow))
+    main = derive_constants(slow, 0.5, p_override=2).main
+    assert all(math.isinf(r) for r in (main.r3, main.r4, main.r5))
     d = derive_constants(slow, 0.5)
     assert math.isinf(d.eps_radius) and math.isinf(d.R0)
     # main stage, then inner stage, then the eps-radius; c and r1 stay finite
