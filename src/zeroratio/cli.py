@@ -34,7 +34,7 @@ from .constants import (
     select_p,
 )
 from .factors import ZeroSet
-from .grids import parse_disk_grid
+from .grids import DiskGrid, parse_disk_grid
 from .jost import JostFn, boost_ray_decay, growth_fit, load_kernel, ray_decay_fit
 from .models import PairBuild, build_pair, engineered_pair, load_pair_file
 from .report import FAIL, VerificationReport, format_float, reports_to_json
@@ -162,6 +162,14 @@ _parse_non_negative = _number_range(float, 0.0, math.inf, low_inclusive=True)  #
 _parse_seed = _number_range(int, 0, math.inf, low_inclusive=True)  # --seed, --poly-seed
 _parse_finite = _number_range(float, -math.inf, math.inf)  # --angle
 _parse_genus = _number_range(int, 1, MAX_GENUS + 1, low_inclusive=True)  # --p-override, --p
+
+
+def _parse_grid(text: str) -> DiskGrid:
+    """--grid NRxNT; a bad shape is reported with its reason, not the parser's name."""
+    try:
+        return parse_disk_grid(text)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _class_params(args) -> ClassParams:
@@ -428,7 +436,7 @@ def build_parser() -> _Parser:
     common.add_argument("--R", type=_parse_positive, default=None)
     common.add_argument("--delta", type=_parse_delta, default=None)
     common.add_argument("--eps", type=_parse_positive, default=1.0)
-    common.add_argument("--grid", type=parse_disk_grid, default=None, metavar="NRxNT",
+    common.add_argument("--grid", type=_parse_grid, default=None, metavar="NRxNT",
                         help="rings x boundary samples of the disk grid")
     common.add_argument("--pair", default=None, help="pair JSON file")
     common.add_argument("--preset", choices=("engineered", "custom"), default="engineered")

@@ -11,7 +11,8 @@ what every tail estimate in the package rests on, so a tail product checks
 the guard once per call, where it uses the bound.  Products over zero sets
 are accumulated in log form, by power sums for far zeros or by one direct
 factor-by-factor sum with compensated summation, and exponentiated once, so
-the tiny quantity (product - 1) never suffers cancellation.
+the tiny quantity (product - 1) never suffers cancellation.  The direct sum
+takes one reciprocal per zero, Horner in place and per-row sums.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import numpy as np
 from .constants import ParameterError
 
 
-# points x zeros per block of the direct sum's primary-factor logs: 256 KiB
-# per complex temporary, so a block stays in a core's L2
+# points x zeros per block of the direct sum: its ratio and log buffers, sized
+# to the batch and reused by every block, hold 256 KiB each at most and so
+# stay in a core's L2
 _NEAR_BLOCK = 16384
 
 
@@ -171,33 +173,33 @@ def _partial_sum(xi: np.ndarray, p: int) -> np.ndarray:
     return partial
 
 
-def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
+def log_primary_factor_grid(xi: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized log E_p over an array, for any xi: the tail series inside a
     split radius, the explicit form log1p(-xi) + partial sum everywhere else.
 
     The split radius shrinks the explicit branch to where the cancellation
     between log1p(-xi) and the partial sum stays below ~1e-13 relative; the
     series branch sums as many terms as the series points' own max|xi| needs
-    for a 1e-19 remainder relative to the leading term.  Far outside the
-    guard disk |log E_p| is of order one, so the explicit form carries no
-    cancellation risk there; its real part is -inf exactly at xi = 1.  Genus
-    0 is log1p(-xi) alone.
+    for a 1e-19 remainder relative to the leading term, in one in-place
+    Horner pass that includes xi^(p+1).  Far outside the guard disk
+    |log E_p| is of order one, so the explicit form carries no cancellation
+    risk there; its real part is -inf exactly at xi = 1.  The result goes to
+    `out`, an array of xi's shape, when one is given.
     """
     xi = np.asarray(xi, dtype=complex)
     if p < 0:
         raise ParameterError("genus must be nonnegative")
-    if p == 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log1p(-xi)
     # The explicit branch subtracts the degree-p partial sum from log1p(-xi),
     # losing ~(p+1)(p+2)*eps*|xi| absolutely against a result of size
     # |xi|^(p+1)/(p+1).  Choosing the split so that split^p covers that loss
     # keeps the branch boundary agreement at the few-1e-13 level for genus
     # up to ~12 (drifting toward 1e-11 at genus 20, where the guard disk
-    # leaves no room to push the split further out).
-    s_req = (3.3e-3 * (p + 1) * (p + 2)) ** (1.0 / p)
-    split = min(0.90 * guard_radius(p), max(0.25, s_req))
-    out = np.zeros_like(xi)
+    # leaves no room to push the split further out).  Genus 0 splits too:
+    # numpy's complex log1p loses relative accuracy at small |xi|.
+    split = 0.25
+    if p > 0:
+        split = min(0.90 * guard_radius(p), max(split, (3.3e-3 * (p + 1) * (p + 2)) ** (1.0 / p)))
+    out = np.empty_like(xi) if out is None else out
 
     mag = np.abs(xi)
     small = mag <= split
@@ -206,19 +208,23 @@ def log_primary_factor_grid(xi: np.ndarray, p: int) -> np.ndarray:
         s = float(np.max(np.where(small, mag, 0.0)))
     del mag  # blocks of points x zeros are large: hold as few of them at once as possible
     if np.any(small):
-        xs = xi if small.all() else xi[small]  # no copy in the common all-series case
+        whole = small.all()
+        xs = xi if whole else xi[small]  # no copy in the common all-series case
         # term count from the geometric remainder of the tail series at s
         terms = 8
         while s**terms * (p + 1) / ((p + terms + 1) * (1.0 - s)) > 1e-19 and terms < 4000:
             terms += 4
-        acc = np.full_like(xs, 1.0 / (p + terms))
-        for k in range(p + terms - 1, p, -1):  # Horner in xi on 1/k coefficients, in place
+        # Horner on the coefficients -1/k, in place; the first multiply and the
+        # p after the loop form the leading xi^(p+1).  Whole blocks go to out.
+        acc = np.multiply(xs, -1.0 / (p + terms), out=out if whole else None)
+        for k in range(p + terms - 1, p, -1):
+            acc -= 1.0 / k
             acc *= xs
-            acc += 1.0 / k
-        # in this operand order: complex multiplication is not bitwise symmetric
-        np.multiply(-(xs ** (p + 1)), acc, out=acc)
+        for _ in range(p):
+            acc *= xs
         del xs
-        out[small] = acc.ravel()
+        if not whole:
+            out[small] = acc.ravel()
     large = ~small
     if np.any(large):
         xl = xi[large]
@@ -304,23 +310,33 @@ def _log_direct_sum(z: np.ndarray, locations: np.ndarray, multiplicities: np.nda
     Zeros are consumed in fixed-order blocks of _ZERO_BLOCK with a compensated
     accumulator across blocks, so results are deterministic and the rounding
     stays at the few-ulp level even for thousands of factors.  Points go in
-    chunks small enough that a block's points x zeros temporaries hold at
-    most _NEAR_BLOCK entries, which keeps them in cache.  A non-finite value
-    marks a point on a zero.
+    chunks small enough that a block's points x zeros arrays hold at most
+    _NEAR_BLOCK entries, which keeps them in cache.  A ratio is z times the
+    zero's reciprocal, and the logs are summed per row, so a point's value
+    does not depend on its batch.  A non-finite value marks a point on a zero.
     """
     total = np.zeros_like(z)
-    mults = multiplicities.astype(float)
-    chunk = _NEAR_BLOCK // max(1, min(_ZERO_BLOCK, len(locations)))
-    for i in range(0, len(z) if len(locations) else 0, chunk):
+    mults = multiplicities.astype(float) if np.any(multiplicities != 1) else None
+    inverses = 1.0 / locations
+    width = max(1, min(_ZERO_BLOCK, len(locations)))
+    chunk = _NEAR_BLOCK // width
+    ratio_buf = np.empty(min(chunk, len(z)) * width, dtype=complex)
+    log_buf = np.empty_like(ratio_buf)
+    for i in range(0, len(z), chunk):
         pts = z[i : i + chunk, None]
+        reach = float(np.max(np.abs(pts)))
         acc = comp = np.zeros(len(pts), dtype=complex)
         for start in range(0, len(locations), _ZERO_BLOCK):
-            locs = locations[start : start + _ZERO_BLOCK]
-            ratios = pts / locs
-            # complex division can leave z_n/z_n a rounding away from 1
-            ratios[pts == locs] = 1.0
-            y = log_primary_factor_grid(ratios, p) @ mults[start : start + _ZERO_BLOCK] - comp
-            del ratios  # before the next block's temporaries
+            block = slice(start, start + _ZERO_BLOCK)
+            n = len(pts) * len(inverses[block])
+            ratios = np.multiply(pts, inverses[block], out=ratio_buf[:n].reshape(len(pts), -1))
+            if reach >= np.abs(locations[block]).min():  # some point may sit on a zero here
+                # z_n * (1/z_n) can be a rounding away from 1
+                ratios[pts == locations[block]] = 1.0
+            logs = log_primary_factor_grid(ratios, p, out=log_buf[:n].reshape(ratios.shape))
+            if mults is not None:  # scaling by ones would change nothing
+                logs *= mults[block]
+            y = logs.sum(axis=1) - comp  # per-row sums: a point's value ignores its batch
             t = acc + y
             comp = (t - acc) - y
             acc = t

@@ -137,6 +137,8 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["jost", "--kernel", "{kernel}", "--eval", "1,inf"], "argument --eval"),
     (["zeros", "--radius", "3", "--center", "1,2,3"], "invalid complex value"),
     (["verify", "lemma3", "--coeffs", ","], "invalid complex list value"),
+    (["verify", "theorem", "--grid", "abc"], "argument --grid: grid shape must look like '32x96'"),
+    (["verify", "theorem", "--grid", "0x0"], "argument --grid: need at least 1 ring and 4 spokes"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
@@ -148,6 +150,7 @@ def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     assert flag in err
     assert "Traceback" not in err
     assert "_parse" not in err  # argparse names the kind of value, not a private parser
+    assert "parse_disk_grid" not in err
 
 
 _VALID = [
