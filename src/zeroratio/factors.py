@@ -344,6 +344,20 @@ def _log_direct_sum(z: np.ndarray, locations: np.ndarray, multiplicities: np.nda
     return total
 
 
+def _log_zero_sum(total: np.ndarray, z: np.ndarray, locations: np.ndarray,
+                  multiplicities: np.ndarray, moduli: np.ndarray, p: int) -> np.ndarray:
+    """total + sum_n m_n log E_p(z/z_n) over a flat array, m_n of either sign:
+    power sums for the zeros with |z_n| >= 2 max|z| (`moduli` holds the |z_n|),
+    then the direct sum for the rest.  A non-finite value marks a point on a zero."""
+    far = moduli >= 2.0 * np.max(np.abs(z), initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.any(far):
+            total = total + log_far_field(z, locations[far], multiplicities[far], p)
+        if not far.all():
+            total = total + _log_direct_sum(z, locations[~far], multiplicities[~far], p)
+    return total
+
+
 @dataclass(frozen=True)
 class TailProductSpec:
     """A genus-p product over zeros at or beyond a cutoff radius."""

@@ -17,11 +17,12 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .constants import ClassParams, ParameterError, select_p, threshold_r1
-from .factors import TailProductSpec, ZeroSet, _log_direct_sum, log_far_field
+from .factors import TailProductSpec, ZeroSet, _log_zero_sum
 from .jost import ray_envelope_constant
 from .report import format_float
 from .zeros import AnalyticFn
@@ -68,21 +69,12 @@ class EntireModel:
         return np.polyval(self.poly[::-1], np.asarray(z, dtype=complex))
 
     def log_value(self, z) -> np.ndarray:
-        """Sum of factor logarithms; a non-finite value marks an exact zero.
-
-        Zeros of modulus at least twice the batch's largest |z| enter through
-        their power sums (`log_far_field`); the others through the direct
-        factor-by-factor sum that the tail reference uses too.
-        """
+        """The exponent plus the sum of factor logarithms (`_log_zero_sum`); a
+        non-finite value marks an exact zero."""
         w = np.asarray(z, dtype=complex).ravel()
-        total = self.poly_value(w)
-        locs, mults = self.zeros.locations(), self.zeros.multiplicities()
-        far = self.zeros.moduli() >= 2.0 * np.max(np.abs(w), initial=0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if np.any(far):
-                total = total + log_far_field(w, locs[far], mults[far], self.genus)
-            if not far.all():
-                total = total + _log_direct_sum(w, locs[~far], mults[~far], self.genus)
+        zeros = self.zeros
+        total = _log_zero_sum(self.poly_value(w), w, zeros.locations(), zeros.multiplicities(),
+                              zeros.moduli(), self.genus)
         return total.reshape(np.shape(z))
 
     def evaluate(self, z):
@@ -215,6 +207,26 @@ class PairBuild:
 
     def tail_spec_b(self) -> TailProductSpec:
         return TailProductSpec(zeros=self.spec.outer_b, genus=self.p, cutoff=self.spec.R)
+
+    @cached_property
+    def signed_outer(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only locations, multiplicities and moduli of the outer zeros as
+        one set: +m for outer_b, -m for outer_a.  A zero of both enters once
+        with its net multiplicity, or not at all when that is 0."""
+        a, b = self.spec.outer_a, self.spec.outer_b
+        locs, index = np.unique(np.concatenate([b.locations(), a.locations()]), return_inverse=True)
+        net = np.zeros(len(locs), dtype=int)
+        np.add.at(net, index, np.concatenate([b.multiplicities(), -a.multiplicities()]))
+        arrays = (locs[net != 0], net[net != 0], np.abs(locs[net != 0]))
+        for array in arrays:
+            array.flags.writeable = False
+        return arrays
+
+    def log_tail_ratio(self, z) -> np.ndarray:
+        """log(Pi2/Pi1), one sum over the signed outer zeros.  The shared zeros
+        cancel, so psi2/psi1 = exp(g2 - g1 + log(Pi2/Pi1)) on B(0, R)."""
+        w = np.asarray(z, dtype=complex).ravel()
+        return _log_zero_sum(np.zeros_like(w), w, *self.signed_outer, self.p).reshape(np.shape(z))
 
 
 def measurement_window(R: float, delta: float, p: int, r0: float) -> tuple[float, float]:

@@ -12,9 +12,10 @@ is read from them.  A disk sup lies on the boundary circle (maximum modulus
 principle): its coarse samples are the grid's polar lattice, its refined
 ones the circle at 2N points, whose even points are the lattice's outer ring.
 
-Tail products are finite canonical products, so they are evaluated as entire
-models; only the decomposition identity keeps the direct factor-by-factor sum,
-as its independent reference.
+The theorem and step 5's ray read psi2/psi1 - 1 as e^L - 1 with
+L = (g2 - g1) + log(Pi2/Pi1), a sum over the signed outer zeros alone, so
+nothing is divided or masked.  Only the decomposition identity divides psi2 by
+psi1 and sums its tails factor by factor, as an independent reference.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .models import CountCompliance, EntireModel, PairBuild, count_compliance
 from .report import Precondition, VerificationReport, precondition
 from .zeros import EvaluationError
 
-# relative magnitude below which a denominator sample counts as a zero hit
+# relative |psi1| below which the decomposition identity excludes a sample
 _DENOM_FLOOR = 1e-10
 
 # agreement demanded between base and doubled grids, relative
@@ -115,36 +116,6 @@ def _poly_delta(build: PairBuild, z: np.ndarray) -> np.ndarray:
     return build.psi2.poly_value(z) - build.psi1.poly_value(z)
 
 
-def _tail_log(tail: TailProductSpec, z: np.ndarray) -> np.ndarray:
-    """log Pi(R, z) of a tail product, by the model evaluator.
-
-    The tail bounds hold only while every |z/z_n| stays in the genus guard
-    disk, so points reaching past it raise DomainError.
-    """
-    tail.require_guard(z)
-    return EntireModel(genus=tail.genus, zeros=tail.zeros).log_value(z)
-
-
-def _pair_values(build: PairBuild, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.asarray(build.psi1.evaluate(z)), np.asarray(build.psi2.evaluate(z))
-
-
-def _ratio_minus_one(v1: np.ndarray, v2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi2/psi1 - 1) from the values of psi1 and psi2, by honest division.
-
-    Returns (values, keep_mask); points where |psi1| collapses below
-    _DENOM_FLOOR of its batch maximum are masked out, with value 0, rather
-    than divided.
-    """
-    scale = float(np.max(np.abs(v1), initial=0.0))
-    if scale == 0.0:
-        raise EvaluationError("psi1 vanishes on the whole grid")
-    keep = np.abs(v1) > _DENOM_FLOOR * scale
-    out = np.zeros_like(v1)
-    out[keep] = (v2[keep] - v1[keep]) / v1[keep]
-    return out, keep
-
-
 def _ray_nodes(r: float, p: int, count: int) -> np.ndarray:
     """Radii covering [r, (p+1)r] densely, always containing the nodes k*r."""
     nodes = r * np.arange(1, p + 2, dtype=float)
@@ -178,9 +149,11 @@ def check_lemma2(
         )
     radius = a * R ** (1.0 - delta)
     tail = TailProductSpec(zeros=zeros, genus=p, cutoff=R)
+    model = EntireModel(genus=p, zeros=zeros)
 
     def magnitude(pts):
-        return np.abs(cexpm1(_tail_log(tail, pts)))
+        tail.require_guard(pts)  # the tail bound holds only on the guard disk
+        return np.abs(cexpm1(model.log_value(pts)))
 
     sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, radius, grid)
     C2 = constant_C2(p, params.sigma, params.rho)
@@ -323,13 +296,20 @@ def check_decomposition(
     on the right) and reports the largest discrepancy against a 1e-10 floor
     scaled by the magnitudes involved.  An identity holds inside the disk as
     much as on its boundary, so the samples are the whole polar lattice of
-    the grid.  Near-zero denominators are excluded with the count reported.
+    the grid.  It is the one check that divides psi2 by psi1, so near-zero
+    denominators are excluded here, with the count reported.
     """
     spec = build.spec
     radius = (build.p + 1) * spec.R ** (1.0 - spec.delta)
     pts = (grid or default_disk_grid()).points(radius)
 
-    ratio_m1, keep = _ratio_minus_one(*_pair_values(build, pts))
+    v1, v2 = build.psi1.evaluate(pts), build.psi2.evaluate(pts)
+    scale = float(np.max(np.abs(v1), initial=0.0))
+    if scale == 0.0:
+        raise EvaluationError("psi1 vanishes on the whole grid")
+    keep = np.abs(v1) > _DENOM_FLOOR * scale  # near-zero denominators are excluded, not divided
+    ratio_m1 = np.zeros_like(v1)
+    ratio_m1[keep] = (v2[keep] - v1[keep]) / v1[keep]
     log_ratio = (log_tail_product_grid(build.tail_spec_a(), pts)
                  - log_tail_product_grid(build.tail_spec_b(), pts))
     pi_ratio = np.exp(log_ratio)
@@ -397,13 +377,14 @@ def check_step5_bounds(
     coarse = np.zeros(len(radii), dtype=bool)
     coarse[np.searchsorted(radii, _ray_nodes(base_r, p, segment_samples))] = True
     z_ray = radii * np.exp(1j * spec.ray_angle)
-    v1, v2 = _pair_values(build, z_ray)
+    v1, v2 = build.psi1.evaluate(z_ray), build.psi2.evaluate(z_ray)
     # the smallest C1 making |psi - 1| <= C1 r^(-mu) hold at the fine radii
     env_pre = _envelope_preconditions(params.C1, *(
         float(np.max(np.abs(v - 1.0) * radii**params.mu, initial=0.0)) for v in (v1, v2)))
-    ratio_m1, keep = _ratio_minus_one(v1, v2)
-    seg_fine = float(np.max(np.abs(ratio_m1), initial=0.0))
-    seg_base = float(np.max(np.abs(ratio_m1[coarse]), initial=0.0))
+    g_ray = _poly_delta(build, z_ray)
+    ratio_dev = np.abs(cexpm1(g_ray + build.log_tail_ratio(z_ray)))
+    seg_fine = float(np.max(ratio_dev, initial=0.0))
+    seg_base = float(np.max(ratio_dev[coarse], initial=0.0))
     report_b = VerificationReport(
         check="ray-ratio-smallness",
         bound=(2.0 + 3.0 * eta) * eta,
@@ -413,15 +394,16 @@ def check_step5_bounds(
             precondition("eta <= 1/3", eta <= 1.0 / 3.0, 1.0 / 3.0, eta),
             precondition("segment start >= r0", base_r >= params.r0, params.r0, base_r),
         ] + env_pre + [_converged(seg_base, seg_fine)],
-        # masked samples of the coarse set plus those of the fine set
-        details={"eta": eta, "segment": [base_r, (p + 1) * base_r], "ray_angle": spec.ray_angle,
-                 "excluded_points": int(np.sum(~keep) + np.sum(~keep[coarse]))},
+        details={"eta": eta, "segment": [base_r, (p + 1) * base_r], "ray_angle": spec.ray_angle},
     )
 
     # -- tail-product ratio on the wide disk ----------------------------------
     def ratio_mag_dev(pts):
+        # the tail bounds hold only on the guard disk of either tail
+        build.tail_spec_a().require_guard(pts)
+        build.tail_spec_b().require_guard(pts)
         # one evaluation of log(Pi1/Pi2) gives both |Pi1/Pi2| and |Pi1/Pi2 - 1|
-        log_ratio = _tail_log(build.tail_spec_a(), pts) - _tail_log(build.tail_spec_b(), pts)
+        log_ratio = -build.log_tail_ratio(pts)
         return np.stack([np.abs(np.exp(log_ratio)), np.abs(cexpm1(log_ratio))], axis=1)
 
     (mag_base, dev_base), (mag_fine, dev_fine), wide_profile, wide_samples = _sampled_sups(
@@ -465,7 +447,7 @@ def check_step5_bounds(
         return np.abs(cexpm1(_poly_delta(build, pts)))
 
     d_base, d_fine, d_profile, d_samples = _sampled_sups(delta_mag, base_r, grid)
-    seg_delta = float(np.max(np.abs(cexpm1(_poly_delta(build, z_ray))), initial=0.0))
+    seg_delta = float(np.max(np.abs(cexpm1(g_ray)), initial=0.0))
     report_d = VerificationReport(
         check="exponent-difference",
         bound=18.0 * Ap * eta,
@@ -501,6 +483,7 @@ def check_theorem(
 ) -> list[VerificationReport]:
     """Final bound sup over B(0, R^(1-delta)) of |psi2/psi1 - 1|, both forms.
 
+    The deviation is read as |e^L - 1| with L = (g2 - g1) + log(Pi2/Pi1).
     The constant form compares against 20*Ap*C1/R^(mu(1-delta)) and carries
     the activation preconditions R >= r1..r5; the accuracy form compares
     against eps/R^(mu(1-delta)) and requires R >= R0(eps).  Both reuse the
@@ -512,19 +495,10 @@ def check_theorem(
     derived = derive_constants(params, delta, eps=eps, p_override=build.p)
     radius = R ** (1.0 - delta)
 
-    grid = grid or default_disk_grid()
-    keeps: list[np.ndarray] = []
-
     def magnitude(pts):
-        vals, keep = _ratio_minus_one(*_pair_values(build, pts))
-        keeps.append(keep)
-        return np.abs(vals)
+        return np.abs(cexpm1(_poly_delta(build, pts) + build.log_tail_ratio(pts)))
 
     sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, radius, grid)
-    # masked samples of the lattice plus those of the circle; the circle's
-    # even points are the lattice's outer ring
-    masked = ~keeps[0]
-    excluded_total = int(np.sum(masked) + np.sum(masked[-2 * grid.spokes::2]))
     converged = _converged(sup_base, sup_fine)
     meas = build.measured
     details = {
@@ -536,7 +510,6 @@ def check_theorem(
         "disk_radius": radius,
         "sup_base": sup_base,
         "sup_refined": sup_fine,
-        "excluded_points": excluded_total,
     }
     constant_bound = derived.ratio_bound(R)
     report_const = VerificationReport(
@@ -591,7 +564,7 @@ def check_remark5(
 
     # the even samples of the 2n - 1 are the n coarse ones
     xs = segment_points(-half + 0j, half + 0j, 2 * samples - 1)
-    v1, v2 = _pair_values(build, xs)
+    v1, v2 = build.psi1.evaluate(xs), build.psi2.evaluate(xs)
     diff = np.abs(v2 - v1)
     diff_base, diff_fine = float(np.max(diff[::2])), float(np.max(diff))
     sup_psi1 = float(np.max(np.abs(v1)))

@@ -237,7 +237,7 @@ def test_column_weighting_dominates_row_weighting():
     """The disk constant uses column-index weights; the per-coefficient
     Cramer weights attach to row indices.  The column form is the larger,
     which is the direction the disk bound needs."""
-    for p in range(1, 11):
+    for p in range(1, 21):
         table = vandermonde_cofactors(p)
         for mu in (0.5, 1.0, 2.0, 5.0):
             a_col = constant_Ap(p, mu)

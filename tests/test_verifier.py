@@ -9,7 +9,14 @@ import pytest
 
 from zeroratio.constants import ClassParams, ParameterError, constant_Ap
 from zeroratio.factors import DomainError, ZeroSet, cexpm1
-from zeroratio.models import EntireModel, PairSpec, build_pair, engineered_pair, random_pair
+from zeroratio.models import (
+    EntireModel,
+    PairBuild,
+    PairSpec,
+    build_pair,
+    engineered_pair,
+    random_pair,
+)
 from zeroratio.report import FAIL, PASS, PASS_UNMET
 from zeroratio.verifier import (
     check_decomposition,
@@ -48,10 +55,11 @@ def _boundary_circle(radius, count):
 
 def test_disk_sups_are_boundary_circle_maxima():
     """observed is the maximum over the 2N-point boundary circle, bitwise,
-    and the samples are the inner rings of the lattice plus that circle."""
+    and the samples are the inner rings of the lattice plus that circle.
+    The theorem reads |psi2/psi1 - 1| as |e^L - 1|, L = (g2 - g1) + log(Pi2/Pi1)."""
     grid = DiskGrid(rings=6, spokes=40)
     expected_samples = (grid.rings + 1) * grid.spokes
-    build = engineered_pair(3)
+    build = engineered_pair(3, poly_scale=1.5e-05)
     spec, p = build.spec, build.p
 
     radius = (p + 1) * spec.R ** (1.0 - spec.delta)
@@ -62,53 +70,55 @@ def test_disk_sups_are_boundary_circle_maxima():
     assert rep.samples == expected_samples
 
     circle = _boundary_circle(spec.R ** (1.0 - spec.delta), 2 * grid.spokes)
-    v1, v2 = build.psi1(circle), build.psi2(circle)
+    g = build.psi2.poly_value(circle) - build.psi1.poly_value(circle)
+    assert np.max(np.abs(g)) > 0.0
     for rep in check_theorem(build, grid=grid):
-        assert rep.observed == np.max(np.abs((v2 - v1) / v1))
+        assert rep.observed == np.max(np.abs(cexpm1(g + build.log_tail_ratio(circle))))
         assert rep.samples == expected_samples
 
 
 @pytest.fixture
 def evaluated(monkeypatch):
-    """The points each EntireModel.log_value call receives, by model."""
+    """The points of each EntireModel.log_value call, by model, and of each
+    PairBuild.log_tail_ratio call, by pair."""
     seen = defaultdict(list)
-    log_value = EntireModel.log_value
+    for cls, name in ((EntireModel, "log_value"), (PairBuild, "log_tail_ratio")):
+        def counting(self, z, original=getattr(cls, name)):
+            seen[self].append(np.ravel(z))
+            return original(self, z)
 
-    def counting(self, z):
-        seen[self].append(np.ravel(z))
-        return log_value(self, z)
-
-    monkeypatch.setattr(EntireModel, "log_value", counting)
+        monkeypatch.setattr(cls, name, counting)
     return seen
 
 
 def test_each_sample_is_evaluated_once(evaluated):
     """A disk sup costs (NR+1)*NT points, the ray of step 5 and the segment of
-    remark 5 one point per fine sample, and no model sees a point twice
-    within a check."""
+    remark 5 one point per fine sample, and no call sees a point twice.  The
+    theorem reaches only the pair's log-ratio evaluator; step 5 feeds it the
+    ray and then the tail disk."""
     grid = DiskGrid(rings=6, spokes=40)
     disk = (grid.rings + 1) * grid.spokes
     build = engineered_pair(3)
     spec, p = build.spec, build.p
-    tail_a, tail_b = (EntireModel(genus=p, zeros=z) for z in (spec.outer_a, spec.outer_b))
+    tail_a = EntireModel(genus=p, zeros=spec.outer_a)
     runs = [
-        (lambda: check_theorem(build, grid=grid), lambda reps: {build.psi1: disk, build.psi2: disk}),
+        (lambda: check_theorem(build, grid=grid), lambda reps: {build: [disk]}),
         (lambda: [check_lemma2(spec.outer_a, spec.R, float(p + 1), p, spec.delta, spec.params,
                                grid=grid)],
-         lambda reps: {tail_a: disk}),
+         lambda reps: {tail_a: [disk]}),
         (lambda: check_step5_bounds(build, grid=grid, segment_samples=64),
-         lambda reps: {build.psi1: reps[0].samples, build.psi2: reps[0].samples,
-                       tail_a: disk, tail_b: disk}),
+         lambda reps: {build.psi1: [reps[0].samples], build.psi2: [reps[0].samples],
+                       build: [reps[0].samples, disk]}),
         (lambda: [check_remark5(build, samples=256)],
-         lambda reps: {build.psi1: 511, build.psi2: 511}),
+         lambda reps: {build.psi1: [511], build.psi2: [511]}),
     ]
     for run, expected in runs:
         evaluated.clear()
         reports = run()
-        points = {model: np.concatenate(zs) for model, zs in evaluated.items()}
-        assert {model: len(z) for model, z in points.items()} == expected(reports)
-        for z in points.values():
-            assert len(np.unique(z)) == len(z)
+        assert {key: [len(z) for z in calls] for key, calls in evaluated.items()} == expected(reports)
+        for calls in evaluated.values():
+            for z in calls:
+                assert len(np.unique(z)) == len(z)
 
 
 def test_step5_envelopes_are_the_ray_envelope_constants():
@@ -259,11 +269,11 @@ def test_step5_engineered_chain_all_pass():
         assert rep.preconditions_met, rep.check
     final = reports[-1]
     assert final.details["segment_observed"] <= final.details["segment_bound"]
-    assert reports[0].details["excluded_points"] == 0
 
 
-def test_step5_counts_masked_ray_points():
-    """A shared zero on the ray segment masks the ray samples at it."""
+def test_step5_ray_ratio_is_finite_on_a_shared_zero():
+    """A shared zero on the ray segment cancels from psi2/psi1: the ray ratio
+    is e^L - 1 there too, finite, and no sample is masked."""
     R, delta, angle = 60.0, 2.0 / 3.0, 0.4
     base_r = R ** (1.0 - delta)
     # the segment always samples the node 2*R^(1-delta), so psi1 vanishes there
@@ -277,11 +287,39 @@ def test_step5_counts_masked_ray_points():
         params=_PARAMS,
         ray_angle=angle,
     )
-    ray = check_step5_bounds(build_pair(spec), grid=_SMALL, segment_samples=512)[0]
+    build = build_pair(spec)
+    ray = check_step5_bounds(build, grid=_SMALL, segment_samples=512)[0]
     assert ray.check == "ray-ratio-smallness"
-    # the node is evaluated once and masked there; it is one sample of the
-    # coarse set and one of the fine set, and each set counts its masked samples
-    assert ray.details["excluded_points"] == 2
+    assert "excluded_points" not in ray.details
+    p = build.p
+    z_ray = np.real(segment_points(base_r, (p + 1) * base_r, 2 * 512 - 1,
+                                   include=base_r * np.arange(1, p + 2, dtype=float))) * np.exp(1j * angle)
+    node = np.argmin(np.abs(z_ray - on_ray))
+    assert abs(z_ray[node] - on_ray) <= 1e-12 * abs(on_ray)
+    assert build.psi1(z_ray[node : node + 1])[0] == 0.0
+    deviation = np.abs(cexpm1(build.log_tail_ratio(z_ray)))
+    assert np.all(np.isfinite(deviation))
+    assert 0.0 < ray.observed == np.max(deviation)
+
+
+def test_equal_outer_sets_cancel_exactly():
+    """Equal outer sets leave the signed outer set empty, so the theorem and
+    the ray read psi2/psi1 - 1 as exactly 0."""
+    radii = np.linspace(62.0, 160.0, 18)
+    outer = ZeroSet.from_points(radii * np.exp(1j * np.linspace(0.3, 6.0, 18)))
+    spec = PairSpec(
+        shared=ZeroSet.from_points([12.0 + 0j, 30.0 - 4.0j]),
+        outer_a=outer,
+        outer_b=outer,
+        R=60.0,
+        delta=2.0 / 3.0,
+        params=_PARAMS,
+    )
+    build = build_pair(spec)
+    assert len(build.signed_outer[0]) == 0
+    for rep in check_theorem(build, grid=_SMALL):
+        assert rep.observed == 0.0
+    assert check_step5_bounds(build, grid=_SMALL, segment_samples=128)[0].observed == 0.0
 
 
 def test_theorem_engineered_constant_form_passes():
