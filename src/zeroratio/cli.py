@@ -271,6 +271,8 @@ def _cmd_jost(args) -> int:
             "degenerate": fit.degenerate,
             "radii": [format_float(r) for r in fit.radii],
             "maxima": [format_float(m) for m in fit.maxima],
+            "stopped": {"reason": fit.stopped[0],
+                        "radius": None if fit.stopped[1] is None else format_float(fit.stopped[1])},
         }
     else:
         raise _UsageError("jost needs one of --eval RE,IM, --ray-fit, --growth-fit")

@@ -329,6 +329,8 @@ class JostFn:
     use the adaptive quadrature of _integrate_batch: its error is at most
     _QUAD_TOL * max(1, |psi|), or its roundoff floor 32 eps M(z) where the
     integral cancels.  Near arg z = -3pi/4 that floor outgrows |psi| itself.
+    For a kernel K >= 0 (every superexp kernel, and a piecewise kernel whose
+    coefficients are all >= 0) max_modulus gives the exact circle maximum.
     """
 
     kernel: Kernel
@@ -347,8 +349,17 @@ class JostFn:
 
     __call__ = evaluate
 
+    def max_modulus(self, r: float) -> float | None:
+        """max |psi| on |z| = r when K >= 0, else None.
+
+        For K >= 0, |psi(z)| <= 1 + integral K(t) e^{rt} dt = psi(-ir) on |z| = r.
+        """
+        if self.kernel.kind == "piecewise" and min(map(min, self.kernel.coeffs)) < 0.0:
+            return None
+        return abs(self.evaluate(complex(0.0, -r)))
+
     def as_analytic_fn(self) -> AnalyticFn:
-        return AnalyticFn(evaluator=lambda w: np.asarray(self.evaluate(w)))
+        return AnalyticFn(evaluator=lambda w: np.asarray(self.evaluate(w)), max_modulus=self.max_modulus)
 
     # -- closed form ---------------------------------------------------------
 
@@ -494,6 +505,8 @@ class GrowthFit:
     radii: tuple[float, ...]
     maxima: tuple[float, ...]
     degenerate: bool = False
+    # why the radii stopped: ("radii", None), or ("overflow" or "divergence", first radius not used)
+    stopped: tuple[str, float | None] = ("radii", None)
 
 
 def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
@@ -502,19 +515,20 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     Circle maxima are collected over increasing radii until the list runs out
     or the evaluation blows past the representable range; a fast-growing
     function therefore stops early and the fit proceeds with the radii
-    already collected.  Each maximum samples 256 points and doubles them,
-    keeping the old ones, until two successive maxima agree within 0.1% or
-    4096 points are reached.  rho is the slope of loglog max-modulus against
-    log r over the upper half of the qualifying radii (those whose maximum
-    exceeds e), snapped to the nearest half integer when the raw slope lands
-    within 0.12 of one.  Restricting to large radii and snapping both suppress the
-    lower-order corrections (algebraic prefactors such as 1/r) that bias a
-    whole-range fit and, through the exponent, would poison sigma.  sigma is
-    the least-squares slope of log max against r^rho over the same upper
-    half, and C0 the envelope constant making the bound hold at every
-    collected radius and on a small circle near the origin.  A function
-    whose maximum never exceeds e is reported degenerate with
-    sigma = rho = 0.
+    already collected.  A maximum is fn.max_modulus(r) where fn offers one
+    that is not None: exact, one evaluation per circle.  Otherwise it samples
+    256 points and doubles them, keeping the old ones, until two successive
+    maxima agree within 0.1% or 4096 points are reached.  rho is the slope of
+    loglog max-modulus against log r over the upper half of the qualifying
+    radii (those whose maximum exceeds e), snapped to the nearest half
+    integer when the raw slope lands within 0.12 of one.  Restricting to
+    large radii and snapping both suppress the lower-order corrections
+    (algebraic prefactors such as 1/r) that bias a whole-range fit and,
+    through the exponent, would poison sigma.  sigma is the least-squares
+    slope of log max against r^rho over the same upper half, and C0 the
+    envelope constant making the bound hold at every collected radius and on
+    a small circle near the origin.  A function whose maximum never exceeds e
+    is reported degenerate with sigma = rho = 0.
     """
     if radii is None:
         radii = np.geomspace(8.0, 200.0, 16)
@@ -523,6 +537,9 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
         raise ParameterError("radii must be positive")
 
     def circle_max(r: float) -> float:
+        exact = getattr(fn, "max_modulus", None)
+        if exact is not None and (m := exact(r)) is not None:
+            return m
         prev = None
         for values in doubling_circle(fn, r, 256, 4096):
             m = float(np.max(np.abs(values)))
@@ -533,14 +550,17 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
 
     used = []
     maxima = []
+    stopped = ("radii", None)
     for r in radii:
         try:
             m = circle_max(float(r))
-        except (DivergenceError, OverflowError):
+        except (DivergenceError, OverflowError) as exc:
             if not used:
                 raise
+            stopped = ("divergence" if isinstance(exc, DivergenceError) else "overflow", float(r))
             break
         if not math.isfinite(m) or (m > 0.0 and math.log(m) > 600.0):
+            stopped = ("overflow", float(r))
             break
         used.append(float(r))
         maxima.append(m)
@@ -550,7 +570,7 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     if grown.sum() < 3:
         return GrowthFit(
             C0=float(max(1.0, maxima.max(initial=1.0))), sigma=0.0, rho=0.0,
-            radii=tuple(used_arr), maxima=tuple(maxima), degenerate=True,
+            radii=tuple(used_arr), maxima=tuple(maxima), degenerate=True, stopped=stopped,
         )
     grown_r = used_arr[grown]
     grown_m = maxima[grown]
@@ -569,5 +589,5 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     m_small = circle_max(r_small)
     c0 = max(c0, m_small * math.exp(-sigma * r_small**rho))
     return GrowthFit(
-        C0=c0, sigma=sigma, rho=rho, radii=tuple(used_arr), maxima=tuple(maxima),
+        C0=c0, sigma=sigma, rho=rho, radii=tuple(used_arr), maxima=tuple(maxima), stopped=stopped,
     )

@@ -70,9 +70,11 @@ class AnalyticFn:
     The evaluator must accept a one-dimensional complex ndarray and return
     one of the same shape; any other shape raises EvaluationError.  Scalars
     and arrays of any shape are flattened before the call and restored after.
+    max_modulus(r), if given, is the exact max |f| on |z| = r or None.
     """
 
     evaluator: Callable
+    max_modulus: Callable | None = None
 
     def __call__(self, z):
         arr = np.asarray(z, dtype=complex)

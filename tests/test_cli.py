@@ -12,7 +12,7 @@ from zeroratio import cli
 from zeroratio.factors import ZeroSet
 from zeroratio.jost import Kernel, save_kernel
 from zeroratio.models import random_pair, save_pair_file
-from zeroratio.report import VerificationReport
+from zeroratio.report import VerificationReport, format_float
 
 
 def run(argv):
@@ -401,6 +401,20 @@ def test_jost_growth_fit_unit_kernel(tmp_path):
     assert float(data["rho"]) == pytest.approx(1.0, abs=0.05)
     assert float(data["sigma"]) == pytest.approx(1.0, abs=0.05)
     assert not data["degenerate"]
+    assert data["stopped"] == {"reason": "radii", "radius": None}
+
+
+def test_jost_growth_fit_reports_where_it_stopped(tmp_path):
+    """The integrand of psi(-ir) for exp(-t^2/4) peaks near exp(r^2): past
+    r = 23.4 of the default radii it leaves double-precision range."""
+    out = tmp_path / "g.json"
+    rc = run(["jost", "--kernel", kernel_file(tmp_path, Kernel.superexp(1.0, 2.0)),
+              "--growth-fit", "--out", str(out)])
+    assert rc == 0
+    data = json.loads(out.read_text())
+    assert len(data["radii"]) == 6
+    assert float(data["rho"]) == 2.0
+    assert data["stopped"] == {"reason": "divergence", "radius": format_float(np.geomspace(8.0, 200.0, 16)[6])}
 
 
 # ---------------------------------------------------------------------------

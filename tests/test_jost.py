@@ -2,6 +2,7 @@
 decay-boost transform."""
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -266,6 +267,77 @@ def test_growth_fit_degenerate_for_flat_function():
     kernel = Kernel.piecewise([0.0, 1.0], [[0.0]])
     fit = growth_fit(JostFn(kernel).as_analytic_fn())
     assert fit.degenerate
+
+
+def test_growth_fit_order_three_from_exact_maxima():
+    """gamma = 1.5 gives order 3; the circle scan fails to converge near
+    arg z = -0.57 pi at r = 6.2, the exact maxima psi(-ir) do not."""
+    jost = JostFn(Kernel.superexp(1.0, 1.5))
+    t0 = time.perf_counter()
+    fit = growth_fit(jost.as_analytic_fn(), radii=np.geomspace(4, 12, 6))
+    elapsed = time.perf_counter() - t0
+    assert len(fit.radii) == 4
+    assert fit.rho == 3.0
+    assert not fit.degenerate
+    # Laplace's method gives sigma = 32/27; the envelope has a 1/sqrt(r) prefactor
+    assert fit.sigma == pytest.approx(32.0 / 27.0, rel=2e-3)
+    # the integrand at the fifth radius peaks near exp(1190)
+    assert fit.stopped == ("divergence", pytest.approx(12.0 * (4.0 / 12.0) ** 0.2))
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("coeffs, nonnegative", [([[1.0], [0.5, 0.25]], True), ([[1.0], [-0.5, 0.1]], False)])
+def test_growth_fit_reads_exact_maxima_only_for_nonnegative_kernels(monkeypatch, coeffs, nonnegative):
+    """K >= 0 costs one point, psi(-ir), per circle; a kernel that changes
+    sign keeps the 256-point doubling scan."""
+    jost = JostFn(Kernel.piecewise([0.0, 1.0, 2.0], coeffs))
+    assert (jost.max_modulus(1.0) is not None) == nonnegative
+    batches = {}
+    evaluate = JostFn.evaluate
+
+    def recording(self, z):
+        z = np.asarray(z, dtype=complex)
+        batches.setdefault(round(float(np.abs(z.ravel()[0])), 6), []).append(z.size)
+        return evaluate(self, z)
+
+    monkeypatch.setattr(JostFn, "evaluate", recording)
+    radii = [1.0, 2.0, 4.0, 8.0]
+    fit = growth_fit(jost.as_analytic_fn(), radii=radii)
+    assert fit.radii == tuple(radii) and fit.stopped == ("radii", None)
+    assert len(batches) == len(radii) + 1  # the small circle for C0
+    if nonnegative:
+        assert all(sizes == [1] for sizes in batches.values())
+        for r, m in zip(fit.radii, fit.maxima):
+            assert m == abs(evaluate(jost, complex(0.0, -r)))
+    else:
+        for sizes in batches.values():
+            assert len(sizes) >= 2
+            assert sizes == [256] + [256 * 2**k for k in range(len(sizes) - 1)]
+
+
+@pytest.mark.parametrize("kernel, radii", [
+    (Kernel.superexp(1.0, 1.5), (1.0, 3.0, 5.0)),
+    (Kernel.superexp(1.5, 2.0), (2.0, 6.0, 12.0)),
+    (Kernel.superexp(1.0, 3.0), (2.0, 8.0, 20.0)),
+    (Kernel.piecewise([0.0, 0.5, 2.0], [[1.0, 2.0], [0.3, 0.0, 0.5]]), (0.5, 4.0, 16.0)),
+])
+def test_max_modulus_matches_mpmath_and_bounds_the_circle(kernel, radii):
+    jost = JostFn(kernel)
+    for r in radii:
+        exact = jost.max_modulus(r)
+        with mpmath.workdps(30):
+            if kernel.kind == "superexp":
+                g = mpmath.mpf(kernel.gamma)
+                peak = 2 * (2 * mpmath.mpf(r) / g) ** (1 / (g - 1))
+                f = lambda t: kernel.C * mpmath.exp(-((t / 2) ** g) + r * t)  # noqa: E731
+                ref = 1 + mpmath.quad(f, [0, peak / 2, peak, 2 * peak, 4 * peak + 20, mpmath.inf])
+            else:
+                ref = 1 + sum(
+                    mpmath.quad(lambda t, row=row: mpmath.polyval(row[::-1], t) * mpmath.exp(r * t), [a, b])
+                    for a, b, row in zip(kernel.knots, kernel.knots[1:], kernel.coeffs))
+        assert exact == pytest.approx(float(ref), rel=1e-12)
+        scan = np.max(np.abs(jost.evaluate(r * np.exp(2j * math.pi * np.arange(4096) / 4096))))
+        assert exact * (1.0 + 1e-12) >= scan
 
 
 # ---------------------------------------------------------------------------
