@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -379,7 +380,10 @@ def _add_class_flags(parser, defaults=None) -> None:
             parser.add_argument(f"--{name}", type=float, default=defaults[i], help=helps[name])
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser, built on first use and kept: parse_args returns a fresh
+    Namespace and every type= callable is stateless, so calls share nothing."""
     parser = _Parser(prog="zeroratio", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

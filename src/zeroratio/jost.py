@@ -29,7 +29,7 @@ from .zeros import AnalyticFn, doubling_circle
 
 
 class DivergenceError(RuntimeError):
-    """The defining integral leaves double-precision range for this argument."""
+    """The defining integral cannot be brought to tolerance for this argument."""
 
 
 class NoDecayError(RuntimeError):
@@ -261,7 +261,7 @@ def _integrate_batch(kernel: Kernel, z: np.ndarray, tol: float) -> np.ndarray:
         growth = np.maximum(-z.imag, 0.0)
         peak = kernel.tail_exponent_peak(float(np.max(growth, initial=0.0))) + math.log(kernel.C)
         if peak > 690.0:
-            raise DivergenceError(f"integrand peak exp({peak:.1f}) exceeds double-precision range")
+            raise OverflowError(f"integrand peak exp({peak:.1f}) exceeds double-precision range")
         T = kernel._superexp_cutoff(growth)
         knots = np.column_stack([np.zeros(n), T])
     else:
@@ -515,9 +515,10 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     Circle maxima are collected over increasing radii until the list runs out
     or the evaluation blows past the representable range; a fast-growing
     function therefore stops early and the fit proceeds with the radii
-    already collected.  A maximum is fn.max_modulus(r) where fn offers one
-    that is not None: exact, one evaluation per circle.  Otherwise it samples
-    256 points and doubles them, keeping the old ones, until two successive
+    already collected; one that stops at the first radius raises the error.
+    A maximum is fn.max_modulus(r) where fn offers one that is not None:
+    exact, one evaluation per circle.  Otherwise it samples 256 points and
+    doubles them, keeping the old ones, until two successive
     maxima agree within 0.1% or 4096 points are reached.  rho is the slope of
     loglog max-modulus against log r over the upper half of the qualifying
     radii (those whose maximum exceeds e), snapped to the nearest half
@@ -554,13 +555,12 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     for r in radii:
         try:
             m = circle_max(float(r))
+            if not math.isfinite(m) or (m > 0.0 and math.log(m) > 600.0):
+                raise OverflowError(f"circle maximum {m:.6g} at r = {r:.6g} exceeds exp(600)")
         except (DivergenceError, OverflowError) as exc:
             if not used:
                 raise
             stopped = ("divergence" if isinstance(exc, DivergenceError) else "overflow", float(r))
-            break
-        if not math.isfinite(m) or (m > 0.0 and math.log(m) > 600.0):
-            stopped = ("overflow", float(r))
             break
         used.append(float(r))
         maxima.append(m)

@@ -244,6 +244,19 @@ def measurement_window(R: float, delta: float, p: int, r0: float) -> tuple[float
     return lo, hi
 
 
+def _checked_compliance(zeros1: ZeroSet, zeros2: ZeroSet,
+                        params: ClassParams) -> tuple[CountCompliance, CountCompliance]:
+    """Count compliance of both zero sets; raises PairConstructionError naming the offending radius."""
+    comps = (count_compliance(zeros1, params), count_compliance(zeros2, params))
+    for comp, name in zip(comps, ("psi1", "psi2")):
+        if not comp.ok:
+            raise PairConstructionError(
+                f"count bound violated for {name} at radius {comp.worst_radius:.6g}: "
+                f"n = {comp.worst_count} > {comp.worst_bound:.6g}"
+            )
+    return comps
+
+
 def build_pair(spec: PairSpec) -> PairBuild:
     """Construct both models and measure their actual constants.
 
@@ -265,14 +278,7 @@ def build_pair(spec: PairSpec) -> PairBuild:
     p = spec.resolved_genus()
     zeros1 = spec.shared.merged_with(spec.outer_a)
     zeros2 = spec.shared.merged_with(spec.outer_b)
-    comp1 = count_compliance(zeros1, spec.params)
-    comp2 = count_compliance(zeros2, spec.params)
-    for comp, name in ((comp1, "psi1"), (comp2, "psi2")):
-        if not comp.ok:
-            raise PairConstructionError(
-                f"count bound violated for {name} at radius {comp.worst_radius:.6g}: "
-                f"n = {comp.worst_count} > {comp.worst_bound:.6g}"
-            )
+    comp1, comp2 = _checked_compliance(zeros1, zeros2, spec.params)
     psi1 = EntireModel(genus=p, zeros=zeros1, poly=spec.poly_a)
     psi2 = EntireModel(genus=p, zeros=zeros2, poly=spec.poly_b)
     lo, hi = measurement_window(R, spec.delta, p, spec.params.r0)
@@ -393,8 +399,9 @@ def engineered_pair(seed: int = 0, poly_scale: float = 0.0) -> PairBuild:
     Draws far-out shared zeros (moduli 230..292) and small outer sets
     (moduli 312..415), measures the ray envelope at the declared mu, then
     declares C1 as 1.25 times the measured envelope clamped to the regime's
-    safe band.  Raises PairConstructionError if the declared constant fails
-    to dominate the measurement or an activation radius exceeds R.
+    safe band; the count compliance is taken again under that C1.  Raises
+    PairConstructionError if the declared constant fails to dominate the
+    measurement or a zero count exceeds the class rate.
     """
     rng = np.random.default_rng(seed)
     R = _ENGINEERED_R
@@ -434,8 +441,11 @@ def engineered_pair(seed: int = 0, poly_scale: float = 0.0) -> PairBuild:
             f"measured ray envelope {first.measured.envelope_C1:.3e} exceeds the "
             f"declared band cap {_ENGINEERED_C1_CAP:.3e}"
         )
+    # C1 enters neither the models nor their envelopes, only the count threshold r1
     final_spec = replace(probe, params=replace(_ENGINEERED_PARAMS, C1=declared))
-    return build_pair(final_spec)
+    comp_a, comp_b = _checked_compliance(first.psi1.zeros, first.psi2.zeros, final_spec.params)
+    return replace(first, spec=final_spec,
+                   measured=replace(first.measured, compliance_a=comp_a, compliance_b=comp_b))
 
 
 def _engineered_polys(rng, scale: float, R: float) -> tuple[tuple[complex, ...], tuple[complex, ...]]:

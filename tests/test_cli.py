@@ -414,7 +414,15 @@ def test_jost_growth_fit_reports_where_it_stopped(tmp_path):
     data = json.loads(out.read_text())
     assert len(data["radii"]) == 6
     assert float(data["rho"]) == 2.0
-    assert data["stopped"] == {"reason": "divergence", "radius": format_float(np.geomspace(8.0, 200.0, 16)[6])}
+    assert data["stopped"] == {"reason": "overflow", "radius": format_float(np.geomspace(8.0, 200.0, 16)[6])}
+
+
+def test_jost_growth_fit_overflow_at_the_first_radius_exits_2(tmp_path, capsys):
+    """For exp(-(t/2)^1.5), log max|psi| at the first default radius r = 8 is
+    about 609 > 600: an evaluation error, not a flat function."""
+    rc = run(["jost", "--kernel", kernel_file(tmp_path, Kernel.superexp(1.0, 1.5)), "--growth-fit"])
+    err = assert_evaluation_error(rc, capsys)
+    assert "r = 8 exceeds exp(600)" in err
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +519,32 @@ def _fuzz_argv(rng, good, bad, out_dir):
     if rng.random() < 0.1:
         argv += ["--out", str(out_dir / "no_such_dir" / "out.txt")]
     return argv
+
+
+def test_reused_parser_carries_no_state_between_calls(tmp_path, capsys):
+    theorem = ["verify", "theorem", "--preset", "engineered", "--seed", "3", "--grid", "4x64"]
+    sequence = [
+        ["zeros", "--radius", "3", "--bogus"],
+        ["verify", "theorem", "--help"],
+        ["constants", "--C0", "2", "--C1", "1", "--rho", "1", "--sigma", "1", "--mu", "1",
+         "--r0", "1", "--delta", "0.5", "--out", str(tmp_path / "no_such_dir" / "c.json")],
+        theorem + ["--poly-scale", "1.5e-05"],
+        theorem,
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    results = []
+    for fresh in (False, True):
+        results.append([])
+        for argv in sequence:
+            if fresh:
+                cli.build_parser.cache_clear()
+            rc = run(argv)
+            captured = capsys.readouterr()
+            results[-1].append((rc, captured.out, captured.err))
+    assert [r[0] for r in results[0]] == [64, 0, 73, 0, 0]
+    assert results[0] == results[1]
+    # the same subcommand without --poly-scale gets its default back
+    assert results[0][3][1] != results[0][4][1]
 
 
 def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path, capsys):

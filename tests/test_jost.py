@@ -11,7 +11,6 @@ import pytest
 from zeroratio import jost as jost_module
 from zeroratio.jost import (
     _integrate_batch,
-    DivergenceError,
     JostFn,
     Kernel,
     NoDecayError,
@@ -151,9 +150,11 @@ def test_superexp_points_refine_only_their_own_panels(monkeypatch):
     assert 0 < sum(rows) <= 20000
 
 
-def test_divergence_error_below_convergence_region():
+def test_integrand_peak_out_of_double_range_raises_overflow():
+    """At z = -4000i the integrand of exp(-t^2/4) peaks near exp(1.6e7): an
+    overflow, not a quadrature that fails to converge."""
     jost = JostFn(Kernel.superexp(1.0, 2.0))
-    with pytest.raises(DivergenceError):
+    with pytest.raises(OverflowError, match="exceeds double-precision range"):
         jost.evaluate(-4000.0j)
 
 
@@ -282,8 +283,15 @@ def test_growth_fit_order_three_from_exact_maxima():
     # Laplace's method gives sigma = 32/27; the envelope has a 1/sqrt(r) prefactor
     assert fit.sigma == pytest.approx(32.0 / 27.0, rel=2e-3)
     # the integrand at the fifth radius peaks near exp(1190)
-    assert fit.stopped == ("divergence", pytest.approx(12.0 * (4.0 / 12.0) ** 0.2))
+    assert fit.stopped == ("overflow", pytest.approx(12.0 * (4.0 / 12.0) ** 0.2))
     assert elapsed < 0.5
+
+
+def test_growth_fit_overflow_at_the_first_radius_raises():
+    """log max|psi| is about 609 > 600 at r = 8, the first default radius: the
+    fit raises instead of reporting a flat function with no radii."""
+    with pytest.raises(OverflowError, match="r = 8 exceeds exp"):
+        growth_fit(JostFn(Kernel.superexp(1.0, 1.5)))
 
 
 @pytest.mark.parametrize("coeffs, nonnegative", [([[1.0], [0.5, 0.25]], True), ([[1.0], [-0.5, 0.1]], False)])

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from zeroratio import models
 from zeroratio.constants import (
     ClassParams,
     ParameterError,
@@ -369,6 +370,49 @@ def test_engineered_pair_invariants():
         derived = derive_constants(spec.params, spec.delta, p_override=build.p)
         assert derived.main.max_radius <= spec.R
         assert build.measured.compliance_a.ok and build.measured.compliance_b.ok
+
+
+def _engineered_pair_built_twice(spec):
+    """The former construction: a probe build under the preset's C1, then a
+    second build under the C1 declared from the probe's envelope."""
+    probe = replace(spec, params=models._ENGINEERED_PARAMS)
+    envelope = build_pair(probe).measured.envelope_C1
+    declared = min(max(1.25 * envelope, models._ENGINEERED_C1_FLOOR), models._ENGINEERED_C1_CAP)
+    return build_pair(replace(probe, params=replace(probe.params, C1=declared)))
+
+
+@pytest.mark.parametrize("poly_scale", [0.0, 1.5e-05])
+def test_engineered_pair_builds_once_and_matches_two_builds(monkeypatch, poly_scale):
+    calls = []
+    params_of = {}  # id of each compliance record -> the parameters it was taken under
+    envelope, compliance = models.ray_envelope_constant, models.count_compliance
+
+    def counting(*args):
+        calls.append(1)
+        return envelope(*args)
+
+    def recording(zeros, params):
+        record = compliance(zeros, params)
+        params_of[id(record)] = params
+        return record
+
+    for seed in range(20):
+        with monkeypatch.context() as m:
+            m.setattr(models, "ray_envelope_constant", counting)
+            m.setattr(models, "count_compliance", recording)
+            build = engineered_pair(seed, poly_scale=poly_scale)
+        assert len(calls) == 2 * (seed + 1)
+        reference = _engineered_pair_built_twice(build.spec)
+        assert build.spec == reference.spec
+        assert build.measured == reference.measured
+        assert build == reference
+        # the compliance is taken under the declared parameters, not the
+        # probe's; no engineered zero lies near r1, so the records themselves
+        # cannot tell r1 = sqrt(2) from r1 = 1 and the recorded parameters do
+        params = build.spec.params
+        for record, model in ((build.measured.compliance_a, build.psi1), (build.measured.compliance_b, build.psi2)):
+            assert params_of[id(record)] == params
+            assert record == count_compliance(model.zeros, params)
 
 
 def test_engineered_pair_is_deterministic():
