@@ -89,7 +89,7 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_coeffs(text: str) -> tuple[complex, ...]:
-    """Comma-separated complex literals, e.g. '1e-4,-2e-5,(1e-6+2e-7j)'."""
+    """Comma-separated finite complex literals, e.g. '1e-4,-2e-5,(1e-6+2e-7j)'."""
     out = []
     for piece in text.split(","):
         piece = piece.strip()
@@ -98,6 +98,8 @@ def _parse_coeffs(text: str) -> tuple[complex, ...]:
         out.append(complex(piece))
     if not out:
         raise ValueError("empty coefficient list")
+    if not all(map(cmath.isfinite, out)):
+        raise argparse.ArgumentTypeError(f"coefficients must be finite, got {text!r}")
     return tuple(out)
 
 

@@ -459,7 +459,7 @@ def _engineered_polys(rng, scale: float, R: float) -> tuple[tuple[complex, ...],
     """
     mu = _ENGINEERED_PARAMS.mu
     p = select_p(_ENGINEERED_PARAMS.rho, mu, _ENGINEERED_DELTA)
-    hi = 1.1 * (p + 1) * R ** (1.0 - _ENGINEERED_DELTA)
+    _lo, hi = measurement_window(R, _ENGINEERED_DELTA, p, _ENGINEERED_PARAMS.r0)
 
     def draw():
         coeffs = []

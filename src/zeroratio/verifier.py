@@ -5,11 +5,13 @@ segment, measures its preconditions instead of assuming them, and returns a
 VerificationReport whose verdict can only be "fail" when every measured
 precondition actually held.
 
-Each sup is sampled coarse and refined, and a "grid sup converged"
-precondition asks the two maxima to agree within 1%.  The refined samples
-are the coarse ones plus their midpoints, evaluated once; the coarse maximum
-is read from them.  A disk sup lies on the boundary circle (maximum modulus
-principle): its coarse samples are the grid's polar lattice, its refined
+Every sampled sup is a `_Sup`: a coarse and a fine maximum from one batch of
+points, the fine samples being the coarse ones plus their midpoints.  Its
+`report` method builds the check's report: `observed` is the fine maximum,
+`details` ends with `sup_base`, `sup_refined` (and, for a disk, the per-ring
+`profile`), and the last precondition, "grid sup converged", asks the two
+maxima to agree within 1%.  A disk sup lies on the boundary circle (maximum
+modulus principle): its coarse samples are the grid's polar lattice, its fine
 ones the circle at 2N points, whose even points are the lattice's outer ring.
 
 The theorem and step 5's ray read psi2/psi1 - 1 as e^L - 1 with
@@ -20,6 +22,7 @@ psi1 and sums its tails factor by factor, as an independent reference.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,43 +58,81 @@ def default_disk_grid(rings: int = 8, spokes: int = 256) -> DiskGrid:
     return DiskGrid(rings, spokes)
 
 
-def _sampled_sups(
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    radius: float,
-    grid: DiskGrid | None,
-) -> tuple:
-    """Sampled sup over B(0, radius) of magnitudes of holomorphic functions.
+@dataclass(frozen=True)
+class _Sup:
+    """A sampled sup: the coarse and fine maxima, the points evaluated, and
+    for a disk the (ring radius, ring maximum) pairs of the coarse lattice."""
+
+    base: float
+    fine: float
+    samples: int
+    rings: tuple = ()
+
+    @classmethod
+    def of(cls, values: np.ndarray, coarse: np.ndarray) -> "_Sup":
+        """The sup of `values` at fine samples, `coarse` masking the coarse ones."""
+        return cls(float(np.max(values[coarse], initial=0.0)),
+                   float(np.max(values, initial=0.0)), len(values))
+
+    def report(self, check: str, bound: float, preconditions: list[Precondition],
+               details: dict) -> VerificationReport:
+        """The check's report: `observed` is the fine sup, `details` end with
+        both sups and a disk's profile, and the last precondition asks the
+        two sups to agree within 1%."""
+        scale = max(abs(self.fine), abs(self.base))
+        change = abs(self.fine - self.base) / scale if scale > 0.0 else 0.0
+        extra = {"sup_base": self.base, "sup_refined": self.fine}
+        if self.rings:
+            extra["profile"] = [(r, bound, v) for r, v in self.rings]
+        converged = precondition("grid sup converged", change <= _REFINE_TOL, _REFINE_TOL, change)
+        return VerificationReport(
+            check=check,
+            bound=bound,
+            observed=self.fine,
+            samples=self.samples,
+            preconditions=[*preconditions, converged],
+            details={**details, **extra},
+        )
+
+
+def _disk_sups(evaluate: Callable[[np.ndarray], np.ndarray], radius: float,
+               grid: DiskGrid | None) -> list[_Sup]:
+    """Sampled sups over B(0, radius) of magnitudes of holomorphic functions.
 
     `evaluate` maps points to magnitudes, one per point or one row of several
-    per point.  It is called once, on the inner rings of the grid's polar
-    lattice followed by the boundary circle at twice the grid's spokes.  The
-    base maximum is the lattice's, whose outer ring is the circle's even
-    points; the refined maximum is the circle's, since by the maximum modulus
-    principle no interior point can exceed it.
-
-    Returns (sup_base, sup_refined, profile, samples): the two maxima (floats,
-    or lists with one entry per column), the (ring radius, ring maximum)
-    pairs of the lattice, and the number of points evaluated.
+    per point, and gives one sup per column.  It is called once, on the inner
+    rings of the grid's polar lattice followed by the boundary circle at twice
+    the grid's spokes.  The base maximum is the lattice's, whose outer ring is
+    the circle's even points; the fine maximum is the circle's, since by the
+    maximum modulus principle no interior point can exceed it.
     """
     grid = grid or default_disk_grid()
     inner = (grid.rings - 1) * grid.spokes
     pts = np.concatenate([grid.points(radius)[:inner],
                           DiskGrid(1, 2 * grid.spokes).points(radius)])
-    vals = np.asarray(evaluate(pts))
+    vals = np.asarray(evaluate(pts)).reshape(len(pts), -1)
     base = np.concatenate([vals[:inner], vals[inner::2]])
-    ring_max = base.reshape(grid.rings, grid.spokes, *base.shape[1:]).max(axis=1)
-    return (
-        np.max(base, axis=0, initial=0.0).tolist(),
-        np.max(vals[inner:], axis=0, initial=0.0).tolist(),
-        list(zip(grid.ring_radii(radius).tolist(), ring_max.tolist())),
-        len(vals),
-    )
+    ring_max = base.reshape(grid.rings, grid.spokes, -1).max(axis=1)
+    radii = grid.ring_radii(radius).tolist()
+    return [
+        _Sup(b, f, len(vals), tuple(zip(radii, column)))
+        for b, f, column in zip(np.max(base, axis=0, initial=0.0).tolist(),
+                                np.max(vals[inner:], axis=0, initial=0.0).tolist(),
+                                ring_max.T.tolist())
+    ]
 
 
-def _converged(sup_base: float, sup_fine: float) -> Precondition:
-    scale = max(abs(sup_fine), abs(sup_base))
-    change = abs(sup_fine - sup_base) / scale if scale > 0.0 else 0.0
-    return precondition("grid sup converged", change <= _REFINE_TOL, _REFINE_TOL, change)
+def _segment(start: complex, end: complex, n: int,
+             include: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The 2n - 1 fine samples of [start, end] and a mask of the n coarse ones
+    among them, both with the `include` points.  Halving the uniform step is
+    exact, so every coarse sample is a fine one, bitwise, and both lists are
+    sorted by their distance from start."""
+    fine = segment_points(start, end, 2 * n - 1, include=include)
+    coarse = np.zeros(len(fine), dtype=bool)
+    coarse[np.searchsorted(np.abs(fine - start),
+                           np.abs(segment_points(start, end, n, include=include) - start))] = True
+    return fine, coarse
 
 
 def _compliance_precondition(name: str, comp: CountCompliance) -> Precondition:
@@ -114,13 +155,6 @@ def _pair_compliance(build: PairBuild) -> list[Precondition]:
 
 def _poly_delta(build: PairBuild, z: np.ndarray) -> np.ndarray:
     return build.psi2.poly_value(z) - build.psi1.poly_value(z)
-
-
-def _ray_nodes(r: float, p: int, count: int) -> np.ndarray:
-    """Radii covering [r, (p+1)r] densely, always containing the nodes k*r."""
-    nodes = r * np.arange(1, p + 2, dtype=float)
-    pts = segment_points(r, (p + 1) * r, count, include=nodes)
-    return np.real(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +189,19 @@ def check_lemma2(
         tail.require_guard(pts)  # the tail bound holds only on the guard disk
         return np.abs(cexpm1(model.log_value(pts)))
 
-    sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, radius, grid)
+    (sup,) = _disk_sups(magnitude, radius, grid)
     C2 = constant_C2(p, params.sigma, params.rho)
-    bound = 2.0 * C2 * a ** (p + 1) * R ** (-params.mu)
     r2 = threshold_r2(a, p, delta, params)
-    return VerificationReport(
-        check="tail-product-smallness",
-        bound=bound,
-        observed=sup_fine,
-        samples=samples,
-        preconditions=[
+    return sup.report(
+        "tail-product-smallness",
+        2.0 * C2 * a ** (p + 1) * R ** (-params.mu),
+        [
             precondition("R >= r2", R >= r2, r2, R),
             _compliance_precondition("zero counts within class rate",
                                      count_compliance(zeros, params)),
-            _converged(sup_base, sup_fine),
         ],
-        details={
-            "R": R,
-            "a": a,
-            "p": p,
-            "delta": delta,
-            "disk_radius": radius,
-            "zero_count": int(zeros.total_multiplicity),
-            "sup_base": sup_base,
-            "sup_refined": sup_fine,
-            "C2": C2,
-            "profile": [(r, bound, v) for r, v in profile],
-        },
+        dict(R=R, a=a, p=p, delta=delta, disk_radius=radius,
+             zero_count=int(zeros.total_multiplicity), C2=C2),
     )
 
 
@@ -216,7 +236,8 @@ def check_lemma3(
     def g(z):
         return np.polyval(coeffs[::-1], np.asarray(z, dtype=complex))
 
-    radii = _ray_nodes(r, p, segment_samples)
+    nodes = r * np.arange(1, p + 2, dtype=float)
+    radii = np.real(segment_points(r, (p + 1) * r, segment_samples, include=nodes))
     seg_h = np.abs(cexpm1(g(radii.astype(complex))))
     C1_meas = float(np.max(seg_h * radii**mu))
     eps = C1_meas * r**-mu
@@ -224,12 +245,10 @@ def check_lemma3(
     def magnitude(pts):
         return np.abs(cexpm1(g(pts)))
 
-    sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, r, grid)
-    bound = 2.0 * eps * Ap
+    (sup,) = _disk_sups(magnitude, r, grid)
 
     # exact Cramer reconstruction from the node samples g(kr)
     table = vandermonde_cofactors(p)
-    nodes = r * np.arange(1, p + 2, dtype=float)
     zeta = g(nodes.astype(complex))
     recon = []
     coeff_rows = []
@@ -252,30 +271,17 @@ def check_lemma3(
     scale = max(max(abs(c) for c in coeffs), 1e-300)
     recon_err = max(abs(a - b) for a, b in zip(recon, coeffs)) / scale
 
-    return VerificationReport(
-        check="segment-to-disk-amplification",
-        bound=bound,
-        observed=sup_fine,
-        samples=samples + len(radii),
-        preconditions=[
+    # the segment's samples count too
+    return replace(sup, samples=sup.samples + len(radii)).report(
+        "segment-to-disk-amplification",
+        2.0 * eps * Ap,
+        [
             precondition("eps <= 1/2", eps <= 0.5, 0.5, eps),
             precondition("eps*Ap <= 1/4", eps * Ap <= 0.25, 0.25, eps * Ap),
-            _converged(sup_base, sup_fine),
         ],
-        details={
-            "p": p,
-            "r": r,
-            "mu": mu,
-            "Ap": Ap,
-            "eps": eps,
-            "measured_C1": C1_meas,
-            "sup_base": sup_base,
-            "sup_refined": sup_fine,
-            "reconstruction_max_error": recon_err,
-            "coefficient_bounds": coeff_rows,
-            "cramer_ok": bool(all(row["ok"] for row in coeff_rows)),
-            "profile": [(rr, bound, v) for rr, v in profile],
-        },
+        dict(p=p, r=r, mu=mu, Ap=Ap, eps=eps, measured_C1=C1_meas,
+             reconstruction_max_error=recon_err, coefficient_bounds=coeff_rows,
+             cramer_ok=bool(all(row["ok"] for row in coeff_rows))),
     )
 
 
@@ -372,10 +378,9 @@ def check_step5_bounds(
     base_r = R ** (1.0 - delta)
 
     # -- ray segment: the fine radii are the coarse ones plus their midpoints --
-    radii = _ray_nodes(base_r, p, 2 * segment_samples - 1)
-    # the coarse radii are among the fine ones, bitwise
-    coarse = np.zeros(len(radii), dtype=bool)
-    coarse[np.searchsorted(radii, _ray_nodes(base_r, p, segment_samples))] = True
+    fine, coarse = _segment(base_r, (p + 1) * base_r, segment_samples,
+                            include=base_r * np.arange(1, p + 2, dtype=float))
+    radii = np.real(fine)
     z_ray = radii * np.exp(1j * spec.ray_angle)
     v1, v2 = build.psi1.evaluate(z_ray), build.psi2.evaluate(z_ray)
     # the smallest C1 making |psi - 1| <= C1 r^(-mu) hold at the fine radii
@@ -383,18 +388,14 @@ def check_step5_bounds(
         float(np.max(np.abs(v - 1.0) * radii**params.mu, initial=0.0)) for v in (v1, v2)))
     g_ray = _poly_delta(build, z_ray)
     ratio_dev = np.abs(cexpm1(g_ray + build.log_tail_ratio(z_ray)))
-    seg_fine = float(np.max(ratio_dev, initial=0.0))
-    seg_base = float(np.max(ratio_dev[coarse], initial=0.0))
-    report_b = VerificationReport(
-        check="ray-ratio-smallness",
-        bound=(2.0 + 3.0 * eta) * eta,
-        observed=seg_fine,
-        samples=len(radii),
-        preconditions=[
+    report_b = _Sup.of(ratio_dev, coarse).report(
+        "ray-ratio-smallness",
+        (2.0 + 3.0 * eta) * eta,
+        [
             precondition("eta <= 1/3", eta <= 1.0 / 3.0, 1.0 / 3.0, eta),
             precondition("segment start >= r0", base_r >= params.r0, params.r0, base_r),
-        ] + env_pre + [_converged(seg_base, seg_fine)],
-        details={"eta": eta, "segment": [base_r, (p + 1) * base_r], "ray_angle": spec.ray_angle},
+        ] + env_pre,
+        {"eta": eta, "segment": [base_r, (p + 1) * base_r], "ray_angle": spec.ray_angle},
     )
 
     # -- tail-product ratio on the wide disk ----------------------------------
@@ -406,32 +407,15 @@ def check_step5_bounds(
         log_ratio = -build.log_tail_ratio(pts)
         return np.stack([np.abs(np.exp(log_ratio)), np.abs(cexpm1(log_ratio))], axis=1)
 
-    (mag_base, dev_base), (mag_fine, dev_fine), wide_profile, wide_samples = _sampled_sups(
-        ratio_mag_dev, a * base_r, grid)
+    mag, dev = _disk_sups(ratio_mag_dev, a * base_r, grid)
     shared_pre = [
         precondition("R >= r2", R >= stage.r2, stage.r2, R),
         precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
     ] + _pair_compliance(build)
-    report_pi = VerificationReport(
-        check="tail-ratio-magnitude",
-        bound=1.0 + 3.0 * eta2,
-        observed=mag_fine,
-        samples=wide_samples,
-        preconditions=shared_pre + [_converged(mag_base, mag_fine)],
-        details={"eta2": eta2, "disk_radius": a * base_r, "C3": C3},
-    )
-    report_c = VerificationReport(
-        check="tail-ratio-deviation",
-        bound=3.0 * eta2,
-        observed=dev_fine,
-        samples=wide_samples,
-        preconditions=shared_pre + [_converged(dev_base, dev_fine)],
-        details={
-            "eta2": eta2,
-            "disk_radius": a * base_r,
-            "profile": [(rr, 3.0 * eta2, dev) for rr, (_mag, dev) in wide_profile],
-        },
-    )
+    report_pi = mag.report("tail-ratio-magnitude", 1.0 + 3.0 * eta2, shared_pre,
+                           {"eta2": eta2, "disk_radius": a * base_r, "C3": C3})
+    report_c = dev.report("tail-ratio-deviation", 3.0 * eta2, shared_pre,
+                          {"eta2": eta2, "disk_radius": a * base_r})
 
     report_eta = VerificationReport(
         check="eta-smallness",
@@ -446,27 +430,18 @@ def check_step5_bounds(
     def delta_mag(pts):
         return np.abs(cexpm1(_poly_delta(build, pts)))
 
-    d_base, d_fine, d_profile, d_samples = _sampled_sups(delta_mag, base_r, grid)
-    seg_delta = float(np.max(np.abs(cexpm1(g_ray)), initial=0.0))
-    report_d = VerificationReport(
-        check="exponent-difference",
-        bound=18.0 * Ap * eta,
-        observed=d_fine,
-        samples=d_samples,
-        preconditions=[
+    (d_sup,) = _disk_sups(delta_mag, base_r, grid)
+    report_d = d_sup.report(
+        "exponent-difference",
+        18.0 * Ap * eta,
+        [
             precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
             precondition("9*Ap*eta <= 1/4", 9.0 * Ap * eta <= 0.25, 0.25, 9.0 * Ap * eta),
             precondition("eta2 <= eta", eta2 <= eta, eta, eta2),
-        ] + env_pre + [_converged(d_base, d_fine)],
-        details={
-            "Ap": Ap,
-            "eta": eta,
-            "disk_radius": base_r,
-            "segment_observed": seg_delta,
-            "segment_bound": 9.0 * eta,
-            "thresholds": {"r3": stage.r3, "r4": stage.r4, "r5": stage.r5},
-            "profile": [(rr, 18.0 * Ap * eta, v) for rr, v in d_profile],
-        },
+        ] + env_pre,
+        dict(Ap=Ap, eta=eta, disk_radius=base_r,
+             segment_observed=float(np.max(np.abs(cexpm1(g_ray)), initial=0.0)),
+             segment_bound=9.0 * eta, thresholds={"r3": stage.r3, "r4": stage.r4, "r5": stage.r5}),
     )
     return [report_b, report_pi, report_c, report_eta, report_d]
 
@@ -498,45 +473,24 @@ def check_theorem(
     def magnitude(pts):
         return np.abs(cexpm1(_poly_delta(build, pts) + build.log_tail_ratio(pts)))
 
-    sup_base, sup_fine, profile, samples = _sampled_sups(magnitude, radius, grid)
-    converged = _converged(sup_base, sup_fine)
+    (sup,) = _disk_sups(magnitude, radius, grid)
     meas = build.measured
-    details = {
-        "R": R,
-        "delta": delta,
-        "p": build.p,
-        "Ap": derived.main.Ap,
-        "exponent": derived.exponent,
-        "disk_radius": radius,
-        "sup_base": sup_base,
-        "sup_refined": sup_fine,
-    }
-    constant_bound = derived.ratio_bound(R)
-    report_const = VerificationReport(
-        check="ratio-bound-constant-form",
-        bound=constant_bound,
-        observed=sup_fine,
-        samples=samples,
-        preconditions=[
-            precondition("R >= max(r1..r5)", R >= derived.main.max_radius,
-                         derived.main.max_radius, R),
-            converged,
-        ] + _envelope_preconditions(params.C1, meas.envelope_C1_a, meas.envelope_C1_b)
+    details = dict(R=R, delta=delta, p=build.p, Ap=derived.main.Ap,
+                   exponent=derived.exponent, disk_radius=radius)
+    report_const = sup.report(
+        "ratio-bound-constant-form",
+        derived.ratio_bound(R),
+        [precondition("R >= max(r1..r5)", R >= derived.main.max_radius,
+                      derived.main.max_radius, R)]
+        + _envelope_preconditions(params.C1, meas.envelope_C1_a, meas.envelope_C1_b)
         + _pair_compliance(build),
-        details=dict(details, profile=[(rr, constant_bound, v) for rr, v in profile]),
+        details,
     )
-    eps_bound = derived.eps_bound(R)
-    report_eps = VerificationReport(
-        check="ratio-bound-accuracy-form",
-        bound=eps_bound,
-        observed=sup_fine,
-        samples=samples,
-        preconditions=[
-            precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R),
-            converged,
-        ],
-        details=dict(details, eps=eps, R0=derived.R0,
-                     profile=[(rr, eps_bound, v) for rr, v in profile]),
+    report_eps = sup.report(
+        "ratio-bound-accuracy-form",
+        derived.eps_bound(R),
+        [precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R)],
+        dict(details, eps=eps, R0=derived.R0),
     )
     return [report_const, report_eps]
 
@@ -562,27 +516,13 @@ def check_remark5(
     derived = derive_constants(spec.params, delta, eps=eps, p_override=build.p)
     half = R ** (1.0 - delta)
 
-    # the even samples of the 2n - 1 are the n coarse ones
-    xs = segment_points(-half + 0j, half + 0j, 2 * samples - 1)
+    xs, coarse = _segment(-half + 0j, half + 0j, samples)
     v1, v2 = build.psi1.evaluate(xs), build.psi2.evaluate(xs)
-    diff = np.abs(v2 - v1)
-    diff_base, diff_fine = float(np.max(diff[::2])), float(np.max(diff))
     sup_psi1 = float(np.max(np.abs(v1)))
-    bound = derived.eps_bound(R) * sup_psi1
-    return VerificationReport(
-        check="difference-on-real-segment",
-        bound=bound,
-        observed=diff_fine,
-        samples=len(xs),
-        preconditions=[
-            precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R),
-            _converged(diff_base, diff_fine),
-        ],
-        details={
-            "segment_half_length": half,
-            "sup_psi1": sup_psi1,
-            "eps": eps,
-            "exponent": derived.exponent,
-            "ratio_bound": derived.eps_bound(R),
-        },
+    return _Sup.of(np.abs(v2 - v1), coarse).report(
+        "difference-on-real-segment",
+        derived.eps_bound(R) * sup_psi1,
+        [precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R)],
+        dict(segment_half_length=half, sup_psi1=sup_psi1, eps=eps,
+             exponent=derived.exponent, ratio_bound=derived.eps_bound(R)),
     )

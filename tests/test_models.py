@@ -431,6 +431,17 @@ def test_engineered_pair_accepts_small_polynomials():
         assert 1.0e-3 <= build.spec.params.C1 <= 2.0e-3
 
 
+def test_engineered_polynomials_stay_small_on_the_measurement_window():
+    """|g(z)| * |z|^mu <= poly_scale for |z| up to the top of the window."""
+    scale = 1.5e-05
+    for seed in range(20):
+        build = engineered_pair(seed, poly_scale=scale)
+        spec, mu = build.spec, build.spec.params.mu
+        _lo, hi = measurement_window(spec.R, spec.delta, build.p, spec.params.r0)
+        for poly in (spec.poly_a, spec.poly_b):
+            assert sum(abs(c) * hi ** (j + mu) for j, c in enumerate(poly)) <= scale * (1 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pair files
 # ---------------------------------------------------------------------------

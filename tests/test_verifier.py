@@ -14,6 +14,7 @@ from zeroratio.models import (
     PairBuild,
     PairSpec,
     build_pair,
+    compliant_tail_zeros,
     engineered_pair,
     random_pair,
 )
@@ -26,6 +27,7 @@ from zeroratio.verifier import (
     check_step5_bounds,
     check_theorem,
     default_disk_grid,
+    _segment,
 )
 from zeroratio.grids import DiskGrid, segment_points
 from zeroratio.jost import ray_envelope_constant
@@ -138,6 +140,78 @@ def test_step5_envelopes_are_the_ray_envelope_constants():
             for name, model in (("psi1", build.psi1), ("psi2", build.psi2)):
                 assert actual[f"measured ray envelope {name} <= C1"] == ray_envelope_constant(
                     model, spec.ray_angle, spec.params.mu, radii)
+
+
+def _wide_pair():
+    """A pair with some 150 outer zeros per side, drawn like the wide pair files."""
+    params = ClassParams(C0=0.5, C1=1.0, rho=1.0, sigma=0.03, mu=1.0, r0=1.0)
+    R = 400.0
+    shared = ZeroSet.from_points([120.0 + 40.0j, -200.0 + 150.0j, 90.0j, -330.0 - 20.0j])
+    outer = [compliant_tail_zeros(seed, params, R, fill=0.9) for seed in (1, 2)]
+    return build_pair(PairSpec(shared, *outer, R=R, delta=2.0 / 3.0, params=params))
+
+
+_SEGMENT_SUPS = ("ray-ratio-smallness", "difference-on-real-segment")
+_NO_SUP = ("decomposition-identity", "eta-smallness")
+
+
+@pytest.mark.parametrize("make", [lambda: engineered_pair(3, poly_scale=1.5e-05), _wide_pair],
+                         ids=["engineered", "wide"])
+def test_every_sampled_sup_report_has_one_shape(make):
+    """observed is the refined sup, the last precondition is the 1% agreement
+    of the two sups, and a disk report has one profile row per ring."""
+    grid = DiskGrid(rings=5, spokes=48)
+    build = make()
+    spec, p = build.spec, build.p
+    poly = np.subtract(spec.poly_b, spec.poly_a) if spec.poly_a else (1e-6, 2e-7j)
+    reports = (
+        [check_lemma2(side, spec.R, float(p + 1), p, spec.delta, spec.params, grid=grid)
+         for side in (spec.outer_a, spec.outer_b)]
+        + [check_lemma3(poly, spec.R ** (1.0 - spec.delta), spec.params.mu, grid=grid),
+           check_decomposition(build, grid=grid), check_remark5(build, samples=256)]
+        + check_step5_bounds(build, grid=grid, segment_samples=128)
+        + check_theorem(build, grid=grid)
+    )
+    sups = [rep for rep in reports if rep.check not in _NO_SUP]
+    assert len(sups) == 10
+    for rep in sups:
+        base, fine = rep.details["sup_base"], rep.details["sup_refined"]
+        assert rep.observed == fine, rep.check
+        last = rep.preconditions[-1]
+        assert last.name == "grid sup converged"
+        assert last.actual == (abs(fine - base) / max(fine, base) if fine or base else 0.0)
+        assert [c.name for c in rep.preconditions].count("grid sup converged") == 1
+        if rep.check in _SEGMENT_SUPS:
+            assert "profile" not in rep.details
+            continue
+        profile = rep.details["profile"]
+        assert list(rep.details)[-3:] == ["sup_base", "sup_refined", "profile"]
+        radius = rep.details.get("disk_radius", rep.details.get("r"))
+        assert [row[0] for row in profile] == grid.ring_radii(radius).tolist()
+        assert all(row[1] == rep.bound for row in profile)
+        assert max(row[2] for row in profile) == base
+    for rep in reports:
+        if rep.check in _NO_SUP:
+            assert "sup_refined" not in rep.details
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("nodes", [True, False], ids=["ray", "real-segment"])
+def test_segment_coarse_samples_are_fine_samples_bitwise(p, n, nodes):
+    """The n coarse samples are among the 2n - 1 fine ones, bitwise, with and
+    without the nodes k*r, so the coarse sup reads the fine values."""
+    for r in (300.0 ** 0.1, 400.0 ** (1.0 / 3.0), 2.0):
+        if nodes:
+            start, end, include = r, (p + 1) * r, r * np.arange(1, p + 2, dtype=float)
+        else:
+            start, end, include = -p * r + 0j, p * r + 0j, None
+        fine, coarse = _segment(start, end, n, include=include)
+        expected = segment_points(start, end, n, include=include)
+        assert fine[coarse].tobytes() == expected.tobytes()
+        assert fine.tobytes() == segment_points(start, end, 2 * n - 1, include=include).tobytes()
+        if not nodes:
+            assert np.array_equal(coarse, np.arange(2 * n - 1) % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
