@@ -133,12 +133,12 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
 
 
 def _plot_data_csv(reports: list[VerificationReport]) -> str:
-    lines = ["r,bound,observed"]
+    lines = ["check,r,bound,observed"]
     for r in reports:
         for row in r.details.get("profile", ()):
             radius, bound, observed = row
             lines.append(
-                f"{format_float(radius)},{format_float(bound)},{format_float(observed)}"
+                f"{r.check},{format_float(radius)},{format_float(bound)},{format_float(observed)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -192,6 +192,9 @@ def _load_build(args) -> PairBuild:
         return build_pair(spec)
     if args.preset == "custom":
         raise _UsageError("--preset custom requires --pair FILE")
+    for flag in ("R", "delta"):
+        if getattr(args, flag) is not None:
+            raise _UsageError(f"--{flag} needs --pair FILE: the engineered preset sets its own")
     return engineered_pair(args.seed, poly_scale=getattr(args, "poly_scale", 0.0))
 
 
@@ -456,7 +459,7 @@ def build_parser() -> _Parser:
                              "|g(z)|*|z|^mu at most this on the ray measurement window")
     common.add_argument("--out", default=None)
     common.add_argument("--plot-data", dest="plot_data", default=None,
-                        help="write r,bound,observed CSV here")
+                        help="write check,r,bound,observed CSV here")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     pv = sub.add_parser("verify", help="run inequality checks")

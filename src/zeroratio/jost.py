@@ -131,10 +131,15 @@ class Kernel:
                 total += c * (b**k - a**k) / k
         return total
 
-    def _superexp_cutoff(self, growth: np.ndarray) -> np.ndarray:
-        """Per growth rate, the first T = 4 * 1.5^k with T*C*exp(-(T/2)^gamma + growth*T) below 1e-18."""
-        t = 4.0 * 1.5 ** np.arange(64)
-        below = -((t / 2.0) ** self.gamma) + growth[:, None] * t + np.log(t) <= math.log(1e-18 / self.C)
+    def _superexp_cutoff(self, z: np.ndarray) -> np.ndarray:
+        """Per point, the first T = 4 * 1.5^k, k >= 0, with T*C*exp(-(T/2)^gamma + max(-Im z, 0)*T)
+        below 1e-18; for y = Im z > 0 the first T, k >= -64, with the decreasing kernel's tail
+        bound C*exp(-(T/2)^gamma - yT)/y below 1e-18, if that T is smaller."""
+        k = np.arange(-64, 64)
+        t, y, floor = 4.0 * 1.5 ** k, z.imag[:, None], math.log(1e-18 / self.C)
+        decay = -((t / 2.0) ** self.gamma)
+        below = (k >= 0) & (decay + np.maximum(-y, 0.0) * t + np.log(t) <= floor)
+        below |= (y > 0.0) & (decay - y * t - np.log(np.where(y > 0.0, y, 1.0)) <= floor)
         if not np.all(np.any(below, axis=1)):
             raise DivergenceError("kernel tail never drops below the quadrature floor")
         return t[np.argmax(below, axis=1)]
@@ -210,6 +215,7 @@ _WGK_PAIRS, _WG_PAIRS = (np.append(w[:-1], w[-1] / 2.0) for w in (_WGK, _WG))
 
 # new panels are evaluated this many at a time, so the node arrays stay small
 _ROW_CHUNK = 1024
+_PEAK_LIMIT = 690.0  # largest log of an integrand peak that the quadrature takes on
 
 
 def _gk_rows(kernel: Kernel, z: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -246,23 +252,23 @@ def _gk_rows(kernel: Kernel, z: np.ndarray, lo: np.ndarray, hi: np.ndarray):
 def _integrate_batch(kernel: Kernel, z: np.ndarray, tol: float) -> np.ndarray:
     """integral_0^T K(t) e^{izt} dt for a batch of z, each point on its own panels.
 
-    A point starts on [0, T(z)] (at the knots of a piecewise kernel), cut to
-    a few oscillations of e^{izt} per panel.  Each round every unfinished
-    point splits the panels whose error exceeds a quarter of its mean panel
-    error, and one vectorized pass evaluates all new panels.  A point is done
-    when its summed error is below tol * max(1, |value|) or below the
-    roundoff floor 32 eps M(z), with M(z) = integral |K(t) e^{izt}| dt its
-    L1 mass: no more can be certified where the integral cancels.  A value
-    thus depends on its own point alone, not on the rest of the batch.
+    A point starts on [0, T(z)] (at the knots of a piecewise kernel; where the
+    tail, with the decay of e^{izt} for Im z > 0, drops below 1e-18 for a
+    super-exponential one), cut to a few oscillations of e^{izt} per panel.
+    Each round every unfinished point splits the panels whose error exceeds a
+    quarter of its mean panel error, and one vectorized pass evaluates all
+    new panels.  A point is done when its summed error is below
+    tol * max(1, |value|) or below the roundoff floor 32 eps M(z), with
+    M(z) = integral |K(t) e^{izt}| dt its L1 mass: no more can be certified
+    where the integral cancels.  A value thus depends on its own point alone.
     """
     z = np.asarray(z, dtype=complex).ravel()
     n = len(z)
     if kernel.kind == "superexp":
-        growth = np.maximum(-z.imag, 0.0)
-        peak = kernel.tail_exponent_peak(float(np.max(growth, initial=0.0))) + math.log(kernel.C)
-        if peak > 690.0:
+        peak = kernel.tail_exponent_peak(float(np.max(-z.imag, initial=0.0))) + math.log(kernel.C)
+        if peak > _PEAK_LIMIT:
             raise OverflowError(f"integrand peak exp({peak:.1f}) exceeds double-precision range")
-        T = kernel._superexp_cutoff(growth)
+        T = kernel._superexp_cutoff(z)
         knots = np.column_stack([np.zeros(n), T])
     else:
         seeds = ((0.0,) if kernel.knots[0] > 0.0 else ()) + kernel.knots
@@ -325,12 +331,13 @@ _QUAD_TOL = 1e-12
 class JostFn:
     """psi(z) = 1 + integral of K(t) exp(izt), one evaluator per kernel kind.
 
-    Piecewise kernels use the exact closed form.  Super-exponential kernels
-    use the adaptive quadrature of _integrate_batch: its error is at most
-    _QUAD_TOL * max(1, |psi|), or its roundoff floor 32 eps M(z) where the
-    integral cancels.  Near arg z = -3pi/4 that floor outgrows |psi| itself.
-    For a kernel K >= 0 (every superexp kernel, and a piecewise kernel whose
-    coefficients are all >= 0) max_modulus gives the exact circle maximum.
+    Piecewise kernels use the exact closed form, super-exponential ones the quadrature
+    of _integrate_batch, cut off where the tail, damped by e^{-t Im z} for Im z > 0,
+    drops below 1e-18.  Its error is at most _QUAD_TOL * max(1, |psi|), or its roundoff
+    floor 32 eps M(z) where the integral cancels; near arg z = -3pi/4 that floor
+    outgrows |psi| itself.  For K >= 0 (every superexp kernel, and a piecewise kernel
+    whose coefficients are all >= 0) max_modulus gives exact circle maxima, a batch of
+    radii in one evaluation.
     """
 
     kernel: Kernel
@@ -349,14 +356,20 @@ class JostFn:
 
     __call__ = evaluate
 
-    def max_modulus(self, r: float) -> float | None:
-        """max |psi| on |z| = r when K >= 0, else None.
+    def max_modulus(self, radii):
+        """max |psi| on |z| = r, elementwise for an array of radii, when K >= 0, else None.
 
-        For K >= 0, |psi(z)| <= 1 + integral K(t) e^{rt} dt = psi(-ir) on |z| = r.
-        """
+        For K >= 0, |psi(z)| <= 1 + integral K(t) e^{rt} dt = psi(-ir) on |z| = r.  A radius
+        whose integrand peak leaves double range gets inf, and the rest one evaluation."""
         if self.kernel.kind == "piecewise" and min(map(min, self.kernel.coeffs)) < 0.0:
             return None
-        return abs(self.evaluate(complex(0.0, -r)))
+        r = np.asarray(radii, dtype=float)
+        fits = np.full(r.shape, True)
+        if self.kernel.kind == "superexp":
+            fits = self.kernel.tail_exponent_peak(r) + math.log(self.kernel.C) <= _PEAK_LIMIT
+        out = np.full(r.shape, np.inf)
+        out[fits] = np.abs(self.evaluate(r[fits] * (0.0 - 1j)))
+        return float(out) if out.ndim == 0 else out
 
     def as_analytic_fn(self) -> AnalyticFn:
         return AnalyticFn(evaluator=lambda w: np.asarray(self.evaluate(w)), max_modulus=self.max_modulus)
@@ -516,8 +529,10 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     or the evaluation blows past the representable range; a fast-growing
     function therefore stops early and the fit proceeds with the radii
     already collected; one that stops at the first radius raises the error.
-    A maximum is fn.max_modulus(r) where fn offers one that is not None:
-    exact, one evaluation per circle.  Otherwise it samples 256 points and
+    A maximum is fn.max_modulus where fn offers one that is not None:
+    exact, for all radii and the small circle in one call (inf where it cannot
+    evaluate); if that call diverges, one circle at a time, so that the walk
+    stops at the radius that fails.  Otherwise it samples 256 points and
     doubles them, keeping the old ones, until two successive
     maxima agree within 0.1% or 4096 points are reached.  rho is the slope of
     loglog max-modulus against log r over the upper half of the qualifying
@@ -537,8 +552,9 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     if np.any(radii <= 0):
         raise ParameterError("radii must be positive")
 
+    exact = getattr(fn, "max_modulus", None)
+
     def circle_max(r: float) -> float:
-        exact = getattr(fn, "max_modulus", None)
         if exact is not None and (m := exact(r)) is not None:
             return m
         prev = None
@@ -549,12 +565,17 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
             prev = m
         return m
 
+    circles = np.append(radii[:1] / 100.0, radii)
+    try:
+        known = None if exact is None else exact(circles)
+    except DivergenceError:
+        known = None
     used = []
     maxima = []
     stopped = ("radii", None)
-    for r in radii:
+    for i, r in enumerate(radii):
         try:
-            m = circle_max(float(r))
+            m = circle_max(float(r)) if known is None else float(known[i + 1])
             if not math.isfinite(m) or (m > 0.0 and math.log(m) > 600.0):
                 raise OverflowError(f"circle maximum {m:.6g} at r = {r:.6g} exceeds exp(600)")
         except (DivergenceError, OverflowError) as exc:
@@ -585,9 +606,8 @@ def growth_fit(fn, radii: Sequence[float] | None = None) -> GrowthFit:
     sigma_slope, _ = np.polyfit(sel_r**rho, np.log(sel_m), 1)
     sigma = float(max(sigma_slope, 0.0))
     c0 = float(np.max(maxima * np.exp(-sigma * used_arr**rho)))
-    r_small = used_arr[0] / 100.0
-    m_small = circle_max(r_small)
-    c0 = max(c0, m_small * math.exp(-sigma * r_small**rho))
+    m_small = circle_max(circles[0]) if known is None else float(known[0])
+    c0 = max(c0, m_small * math.exp(-sigma * circles[0]**rho))
     return GrowthFit(
         C0=c0, sigma=sigma, rho=rho, radii=tuple(used_arr), maxima=tuple(maxima), stopped=stopped,
     )

@@ -236,14 +236,19 @@ def check_lemma3(
     def g(z):
         return np.polyval(coeffs[::-1], np.asarray(z, dtype=complex))
 
+    def magnitude(pts):
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = g(pts)
+            out = np.abs(cexpm1(values))
+        if not np.all(np.isfinite(out)):
+            raise OverflowError(f"e^g overflows double precision: Re g reaches {np.max(values.real):.6g}")
+        return out
+
     nodes = r * np.arange(1, p + 2, dtype=float)
     radii = np.real(segment_points(r, (p + 1) * r, segment_samples, include=nodes))
-    seg_h = np.abs(cexpm1(g(radii.astype(complex))))
+    seg_h = magnitude(radii)
     C1_meas = float(np.max(seg_h * radii**mu))
     eps = C1_meas * r**-mu
-
-    def magnitude(pts):
-        return np.abs(cexpm1(g(pts)))
 
     (sup,) = _disk_sups(magnitude, r, grid)
 

@@ -70,7 +70,8 @@ class AnalyticFn:
     The evaluator must accept a one-dimensional complex ndarray and return
     one of the same shape; any other shape raises EvaluationError.  Scalars
     and arrays of any shape are flattened before the call and restored after.
-    max_modulus(r), if given, is the exact max |f| on |z| = r or None.
+    max_modulus(r), if given, is the exact max |f| on |z| = r, for a radius or
+    elementwise for an array of radii, or None.
     """
 
     evaluator: Callable

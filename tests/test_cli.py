@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,8 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["verify", "theorem", "--grid", "abc"], "argument --grid: grid shape must look like '32x96'"),
     (["verify", "theorem", "--grid", "0x0"], "argument --grid: need at least 1 ring and 4 spokes"),
     (["verify", "lemma3", "--coeffs", "nan,1"], "argument --coeffs"),
+    (["verify", "theorem", "--seed", "0", "--R", "2e8", "--delta", "0.5"], "--R needs --pair FILE"),
+    (["zeros", "--radius", "10", "--delta", "0.5"], "--delta needs --pair FILE"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
@@ -270,6 +273,15 @@ def test_non_finite_report_exits_2(coeffs, capsys):
     assert_evaluation_error(rc, capsys)
 
 
+def test_overflowing_exponent_is_named_without_numpy_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(["verify", "lemma3", "--coeffs", "1e300,1e300", "--grid", "12x32"])
+    err = assert_evaluation_error(rc, capsys)
+    assert "e^g overflows" in err
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
 def test_non_finite_transform_value_exits_2(tmp_path, capsys):
     with np.errstate(all="ignore"):
         rc = run(["jost", "--kernel", kernel_file(tmp_path), "--eval", "1e6,-1e6"])
@@ -347,10 +359,26 @@ def test_plot_data_profile_csv(tmp_path):
               "--plot-data", str(plot)])
     assert rc == 0
     lines = plot.read_text().splitlines()
-    assert lines[0] == "r,bound,observed"
+    assert lines[0] == "check,r,bound,observed"
     assert len(lines) > 4
     row = lines[1].split(",")
-    assert float(row[1]) >= float(row[2])
+    assert row[0] == "segment-to-disk-amplification"
+    assert float(row[2]) >= float(row[3])
+
+
+def test_plot_data_names_the_check_of_every_row(tmp_path):
+    """The theorem's two forms share their radii; the check column tells them apart."""
+    plot = tmp_path / "profile.csv"
+    rc = run(["verify", "theorem", "--seed", "0", "--grid", "6x40", "--out", str(tmp_path / "r.json"),
+              "--plot-data", str(plot)])
+    assert rc == 0
+    reports = json.loads((tmp_path / "r.json").read_text())
+    rows = [line.split(",") for line in plot.read_text().splitlines()[1:]]
+    expected = [(r["check"], radius, bound, observed)
+                for r in reports for radius, bound, observed in r["details"].get("profile", ())]
+    assert [(c, float(x), float(b), float(o)) for c, x, b, o in rows] == \
+        [(c, float(x), float(b), float(o)) for c, x, b, o in expected]
+    assert {c for c, *_ in rows} == {"ratio-bound-constant-form", "ratio-bound-accuracy-form"}
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +512,8 @@ def _fuzz_argv(rng, good, bad, out_dir):
             argv += ["--pair", path("pair"), "--R", val("400"), "--delta", val("0.6667")]
         elif source == "preset":
             argv += ["--seed", val("0", "3", "7"), "--component", val("1", "2")]
+            if rng.random() < 0.2:
+                argv += [rng.choice(["--R", "--delta"]), val("300", "0.9")]
         elif source == "custom":
             argv += ["--preset", "custom"]
         if cmd == "zeros" and rng.random() < 0.2:
@@ -514,6 +544,8 @@ def _fuzz_argv(rng, good, bad, out_dir):
             argv += ["--pair", path("pair"), "--R", val("400", "300"), "--delta", val("0.6667", "0.5")]
         else:
             argv += ["--seed", val("0", "3", "12"), "--poly-scale", val("1.5e-05", "0")]
+            if rng.random() < 0.2:
+                argv += [rng.choice(["--R", "--delta"]), val("300", "0.9")]
         if rng.random() < 0.3:
             argv += ["--eps", val("1", "0.5")]
         if rng.random() < 0.2:
@@ -563,6 +595,8 @@ def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path, capsys):
         captured = capsys.readouterr()
         seen.add(rc)
         assert rc in (0, 1, 2, 64, 66, 73), argv
+        if "--seed" in argv and {"--R", "--delta"} & set(argv):
+            assert rc == 64, argv  # the preset sets its own R and delta
         assert "Traceback" not in captured.err, argv
         if rc == 1:
             if "csv" in argv:

@@ -11,6 +11,7 @@ import pytest
 from zeroratio import jost as jost_module
 from zeroratio.jost import (
     _integrate_batch,
+    DivergenceError,
     JostFn,
     Kernel,
     NoDecayError,
@@ -124,6 +125,19 @@ def test_superexp_agrees_with_faddeeva_form_in_every_direction():
             assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)) + 64 * eps * mass, w
 
 
+def test_superexp_upper_half_plane_against_faddeeva_form():
+    """For Im z > 0 the cutoff follows the decay of e^{izt}: at |z| = 2000 the
+    integrand is below 1e-18 past t ~ 0.3, not only past t = 13.5."""
+    jost = JostFn(Kernel.superexp(1.0, 2.0))
+    for r in (2.0, 10.0, 50.0, 400.0, 2000.0):
+        z = r * np.exp(1j * math.pi * np.linspace(0.02, 0.98, 25))
+        with mpmath.workdps(30):
+            for w, value in zip(z, jost.evaluate(z)):
+                zm = mpmath.mpc(w.real, w.imag)
+                ref = complex(1 + mpmath.sqrt(mpmath.pi) * mpmath.exp(-zm**2) * mpmath.erfc(-1j * zm))
+                assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), w
+
+
 @pytest.mark.parametrize("gamma", [2.0, 3.0])
 def test_superexp_values_do_not_depend_on_the_batch(gamma):
     jost = JostFn(Kernel.superexp(1.0, gamma))
@@ -148,6 +162,22 @@ def test_superexp_points_refine_only_their_own_panels(monkeypatch):
     monkeypatch.setattr(jost_module, "_gk_rows", counting)
     JostFn(Kernel.superexp(1.0, 2.0)).evaluate(8.0 * np.exp(2j * math.pi * np.arange(256) / 256))
     assert 0 < sum(rows) <= 20000
+
+
+def test_superexp_ray_fit_stops_each_integral_where_it_decays(monkeypatch):
+    """A ray fit on arg z = 1.7, r in [2, 400] costs at most 1,500 rows;
+    integrating every point to t = 13.5 costs 6,309."""
+    rows = []
+    gk_rows = jost_module._gk_rows
+
+    def counting(kernel, z, lo, hi):
+        rows.append(len(lo))
+        return gk_rows(kernel, z, lo, hi)
+
+    monkeypatch.setattr(jost_module, "_gk_rows", counting)
+    fit = ray_decay_fit(JostFn(Kernel.superexp(1.0, 2.0)), angle=1.7)
+    assert 0 < sum(rows) <= 1500
+    assert fit.mu == 0.99
 
 
 def test_integrand_peak_out_of_double_range_raises_overflow():
@@ -294,30 +324,89 @@ def test_growth_fit_overflow_at_the_first_radius_raises():
         growth_fit(JostFn(Kernel.superexp(1.0, 1.5)))
 
 
+class _OneCircleAtATime:
+    """psi whose max_modulus refuses a batch of radii, so growth_fit asks for
+    each circle alone, and each circle is a single-point evaluation of psi(-ir)."""
+
+    def __init__(self, jost):
+        self.jost = jost
+
+    def max_modulus(self, r):
+        if np.ndim(r):
+            raise DivergenceError("one circle at a time")
+        return abs(self.jost.evaluate(complex(0.0, -r)))
+
+
+@pytest.mark.parametrize("kernel, radii, stopped", [
+    (Kernel.superexp(1.0, 3.0), np.geomspace(4.0, 8.0, 5), ("radii", None)),
+    # log max|psi| is about 609 at r = 8
+    (Kernel.superexp(1.0, 1.5), np.geomspace(4.0, 8.0, 5), ("overflow", 8.0)),
+    # the integrand peak at the fifth radius leaves double range
+    (Kernel.superexp(1.0, 1.5), np.geomspace(4.0, 12.0, 6), ("overflow", np.geomspace(4.0, 12.0, 6)[4])),
+    (Kernel.superexp(1.0, 2.0), None, ("overflow", np.geomspace(8.0, 200.0, 16)[6])),
+    (Kernel.superexp(2.0, 3.0), None, ("overflow", np.geomspace(8.0, 200.0, 16)[10])),
+])
+def test_growth_fit_takes_every_exact_maximum_in_one_quadrature_call(monkeypatch, kernel, radii, stopped):
+    jost = JostFn(kernel)
+    reference = growth_fit(_OneCircleAtATime(jost), radii=radii)
+    calls = []
+    integrate = jost_module._integrate_batch
+
+    def counting(kernel, z, tol):
+        calls.append(len(z))
+        return integrate(kernel, z, tol)
+
+    monkeypatch.setattr(jost_module, "_integrate_batch", counting)
+    fit = growth_fit(jost, radii=radii)
+    assert len(calls) == 1
+    assert repr(fit) == repr(reference)
+    assert fit.stopped == stopped
+
+
+def test_growth_fit_walks_the_circles_alone_when_the_batch_diverges():
+    """A batch that fails to converge stops the fit at the radius that fails."""
+    jost = JostFn(Kernel.superexp(1.0, 2.0))
+
+    class Diverging(_OneCircleAtATime):
+        def max_modulus(self, r):
+            if not np.ndim(r) and r > 5.0:
+                raise DivergenceError("no convergence")
+            return super().max_modulus(r)
+
+    fit = growth_fit(Diverging(jost), radii=[2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    assert fit.radii == (2.0, 3.0, 4.0, 5.0)
+    assert fit.stopped == ("divergence", 6.0)
+    assert fit.maxima == tuple(abs(jost.evaluate(complex(0.0, -r))) for r in fit.radii)
+
+
 @pytest.mark.parametrize("coeffs, nonnegative", [([[1.0], [0.5, 0.25]], True), ([[1.0], [-0.5, 0.1]], False)])
 def test_growth_fit_reads_exact_maxima_only_for_nonnegative_kernels(monkeypatch, coeffs, nonnegative):
-    """K >= 0 costs one point, psi(-ir), per circle; a kernel that changes
-    sign keeps the 256-point doubling scan."""
+    """K >= 0 costs one point, psi(-ir), per circle, and all circles one
+    call; a kernel that changes sign keeps the 256-point doubling scan."""
     jost = JostFn(Kernel.piecewise([0.0, 1.0, 2.0], coeffs))
     assert (jost.max_modulus(1.0) is not None) == nonnegative
-    batches = {}
+    calls = []
     evaluate = JostFn.evaluate
 
     def recording(self, z):
-        z = np.asarray(z, dtype=complex)
-        batches.setdefault(round(float(np.abs(z.ravel()[0])), 6), []).append(z.size)
+        calls.append(np.asarray(z, dtype=complex).ravel())
         return evaluate(self, z)
 
     monkeypatch.setattr(JostFn, "evaluate", recording)
     radii = [1.0, 2.0, 4.0, 8.0]
     fit = growth_fit(jost.as_analytic_fn(), radii=radii)
     assert fit.radii == tuple(radii) and fit.stopped == ("radii", None)
-    assert len(batches) == len(radii) + 1  # the small circle for C0
     if nonnegative:
-        assert all(sizes == [1] for sizes in batches.values())
+        # the small circle for C0 first, then every radius
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], -1j * np.array([radii[0] / 100.0] + radii))
         for r, m in zip(fit.radii, fit.maxima):
             assert m == abs(evaluate(jost, complex(0.0, -r)))
     else:
+        batches = {}
+        for z in calls:
+            batches.setdefault(round(float(np.abs(z[0])), 6), []).append(z.size)
+        assert len(batches) == len(radii) + 1  # the small circle for C0
         for sizes in batches.values():
             assert len(sizes) >= 2
             assert sizes == [256] + [256 * 2**k for k in range(len(sizes) - 1)]
