@@ -32,7 +32,6 @@ from .factors import (
     guard_radius,
     log_primary_factor_grid,
     log_tail_product_grid,
-    primary_factor_grid,
 )
 from .grids import DiskGrid, parse_disk_grid, segment_points
 from .jost import (
@@ -63,7 +62,6 @@ from .models import (
     count_compliance,
     engineered_pair,
     load_pair_file,
-    random_pair,
     save_pair_file,
 )
 from .report import (

@@ -198,13 +198,25 @@ def _load_build(args) -> PairBuild:
     return engineered_pair(args.seed, poly_scale=getattr(args, "poly_scale", 0.0))
 
 
+# the zeros/jensen flags that select a pair, with their defaults
+_PAIR_SELECTION = {"pair": None, "R": None, "delta": None, "preset": "engineered", "seed": 0,
+                   "component": 1}
+
+
 def _select_function(args):
-    """Input function for zeros/jensen: kernel file, pair file, or preset."""
+    """Input function for zeros/jensen: kernel file, pair file, or preset.
+    A flag of the source not chosen is a usage error, not ignored."""
     if args.kernel is not None:
+        stray = [flag for flag in _PAIR_SELECTION if getattr(args, flag) is not None]
+        if stray:
+            raise _UsageError(f"--{stray[0]} does not apply to --kernel")
         jost = JostFn(load_kernel(args.kernel))
-        if getattr(args, "boost", False):
-            return boost_ray_decay(jost)
-        return jost.as_analytic_fn()
+        return boost_ray_decay(jost) if args.boost else jost.as_analytic_fn()
+    if args.boost:
+        raise _UsageError("--boost applies only to --kernel")
+    for flag, default in _PAIR_SELECTION.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     build = _load_build(args)
     model = build.psi1 if args.component == 1 else build.psi2
     return model.as_analytic_fn()
@@ -227,7 +239,9 @@ def _cmd_constants(args) -> int:
 def _cmd_zeros(args) -> int:
     fn = _select_function(args)
     zs = locate_zeros(fn, center=args.center, radius=args.radius)
-    _emit(zs.csv_text(), args.out)
+    # rows by modulus to 12 digits, then real and imaginary part, so a last-bit
+    # change in a zero does not swap mirror-image rows
+    _emit(zs.csv_text(key=lambda e: (float(f"{abs(e[0]):.12g}"), e[0].real, e[0].imag)), args.out)
     return EXIT_PASS
 
 
@@ -407,12 +421,13 @@ def build_parser() -> _Parser:
     def add_selection(p):
         p.add_argument("--kernel", default=None, help="kernel JSON file")
         p.add_argument("--pair", default=None, help="pair JSON file")
-        p.add_argument("--component", type=int, choices=(1, 2), default=1,
-                       help="which function of the pair")
+        p.add_argument("--component", type=int, choices=(1, 2), default=None,
+                       help="which function of the pair (default 1)")
         p.add_argument("--R", type=_parse_positive, default=None, help="pair coincidence radius")
         p.add_argument("--delta", type=_parse_delta, default=None, help="pair shrink exponent")
-        p.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
-        p.add_argument("--seed", type=_parse_seed, default=0)
+        p.add_argument("--preset", choices=("engineered", "custom"), default=None,
+                       help="default engineered")
+        p.add_argument("--seed", type=_parse_seed, default=None, help="default 0")
         p.add_argument("--boost", action="store_true",
                        help="apply the decay-boost transform to a kernel function")
         p.add_argument("--out", default=None)
@@ -443,20 +458,21 @@ def build_parser() -> _Parser:
     pk.set_defaults(handler=_cmd_jost)
 
     # verify ------------------------------------------------------------------
+    pair = argparse.ArgumentParser(add_help=False)  # every check but lemma 3
+    pair.add_argument("--R", type=_parse_positive, default=None)
+    pair.add_argument("--delta", type=_parse_delta, default=None)
+    pair.add_argument("--eps", type=_parse_positive, default=1.0)
+    pair.add_argument("--pair", default=None, help="pair JSON file")
+    pair.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
+    pair.add_argument("--seed", type=_parse_seed, default=0)
+    pair.add_argument("--poly-scale", dest="poly_scale", type=_parse_non_negative, default=0.0,
+                      help="inject polynomial exponents g into the preset pair, with "
+                           "|g(z)|*|z|^mu at most this on the ray measurement window")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--R", type=_parse_positive, default=None)
-    common.add_argument("--delta", type=_parse_delta, default=None)
-    common.add_argument("--eps", type=_parse_positive, default=1.0)
     common.add_argument("--grid", type=_parse_grid, default=None, metavar="NRxNT",
                         help="rings x boundary samples of the disk grid")
-    common.add_argument("--pair", default=None, help="pair JSON file")
-    common.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
-    common.add_argument("--seed", type=_parse_seed, default=0)
     common.add_argument("--threads", type=int, default=None,
                         help="accepted and ignored; evaluation is single-threaded")
-    common.add_argument("--poly-scale", dest="poly_scale", type=_parse_non_negative, default=0.0,
-                        help="inject polynomial exponents g into the preset pair, with "
-                             "|g(z)|*|z|^mu at most this on the ray measurement window")
     common.add_argument("--out", default=None)
     common.add_argument("--plot-data", dest="plot_data", default=None,
                         help="write check,r,bound,observed CSV here")
@@ -465,7 +481,7 @@ def build_parser() -> _Parser:
     pv = sub.add_parser("verify", help="run inequality checks")
     vsub = pv.add_subparsers(dest="which", required=True)
 
-    v2 = vsub.add_parser("lemma2", parents=[common],
+    v2 = vsub.add_parser("lemma2", parents=[pair, common],
                          help="tail-product smallness on the wide disk")
     v2.add_argument("--zeros", default=None, help="standalone outer zero CSV")
     _add_class_flags(v2, defaults=(0.5, 0.5, 1.0, 0.03, 1.0, 1.0))
@@ -490,7 +506,7 @@ def build_parser() -> _Parser:
         ("theorem", "final ratio bound, constant and accuracy forms"),
         ("remark5", "difference bound on the real segment"),
     ):
-        vp = vsub.add_parser(name, parents=[common], help=blurb)
+        vp = vsub.add_parser(name, parents=[pair, common], help=blurb)
         vp.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -402,7 +402,7 @@ def _stage_constants(
         r4=_pow(36.0 * params.C1 * ap, 1.0 / (params.mu * (1.0 - delta))),
         r5=_pow(2.0 * a ** (p + 1) * c2 / params.C1, 1.0 / (params.mu * delta)),
         C2=c2,
-        C3=2.0 * c2 * a ** (p + 1),
+        C3=constant_C3(p, params.sigma, params.rho),
         W=vandermonde_cofactors(p).det,
         Ap=ap,
     )

@@ -118,8 +118,10 @@ class ZeroSet:
 
     # -- CSV interchange: header re,im,mult ---------------------------------
 
-    def csv_text(self) -> str:
-        rows = [f"{loc.real!r},{loc.imag!r},{mult}" for loc, mult in self.entries]
+    def csv_text(self, key=None) -> str:
+        """re,im,mult rows in modulus order, or sorted by `key` of the entries."""
+        entries = self.entries if key is None else sorted(self.entries, key=key)
+        rows = [f"{loc.real!r},{loc.imag!r},{mult}" for loc, mult in entries]
         return "\n".join(["re,im,mult"] + rows) + "\n"
 
     def to_csv(self, path) -> None:
@@ -261,15 +263,6 @@ def log_far_field(z: np.ndarray, locations: np.ndarray, multiplicities: np.ndarr
     coeffs = (powers @ multiplicities) / np.arange(p + 1, K + 1)
     w = z / s
     return -(w ** (p + 1)) * np.polyval(coeffs[::-1], w)
-
-
-def primary_factor_grid(z: np.ndarray, location: complex, p: int) -> np.ndarray:
-    """E_p(z / location) over an array, explicit form, valid for any ratio."""
-    z = np.asarray(z, dtype=complex)
-    xi = z / location
-    if p == 0:
-        return 1.0 - xi
-    return (1.0 - xi) * np.exp(_partial_sum(xi, p))
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,10 @@ class PairBuild:
         w = np.asarray(z, dtype=complex).ravel()
         return _log_zero_sum(np.zeros_like(w), w, *self.signed_outer, self.p).reshape(np.shape(z))
 
+    def log_ratio(self, z) -> np.ndarray:
+        """log(psi2/psi1) = (g2 - g1) + log(Pi2/Pi1) on B(0, R): psi2 = psi1 * e^log_ratio."""
+        return self.psi2.poly_value(z) - self.psi1.poly_value(z) + self.log_tail_ratio(z)
+
 
 def measurement_window(R: float, delta: float, p: int, r0: float) -> tuple[float, float]:
     """Radial window along the ray over which pair constants are measured.
@@ -335,49 +339,6 @@ def _spread_radii(rng, count: int, lo: float, hi: float) -> np.ndarray:
     """Ascending radii covering [lo, hi] through jittered quantiles."""
     qs = (np.arange(count) + rng.uniform(0.2, 0.8, count)) / count
     return lo + (hi - lo) * np.sort(qs)
-
-
-_RANDOM_PAIR_PARAMS = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=0.08, mu=1.0, r0=1.0)
-
-
-def random_pair(
-    seed: int,
-    R: float = 60.0,
-    delta: float = 2.0 / 3.0,
-    params: ClassParams = _RANDOM_PAIR_PARAMS,
-    ray_angle: float = 0.0,
-) -> PairSpec:
-    """Generic compliant pair for identity and property tests.
-
-    Shared zeros live in moduli [0.25R, 0.95R] with occasional multiplicity
-    two, outer zeros in [1.02R, 2R]; radii follow spread quantiles so the
-    cumulative count stays well under the admissible rate.
-    """
-    rng = np.random.default_rng(seed)
-    rate = params.count_rate()
-    n_budget = int(0.5 * rate * (0.95 * R) ** params.rho)
-    n_shared = int(rng.integers(3, max(4, min(18, n_budget))))
-    shared_radii = _spread_radii(rng, n_shared, 0.25 * R, 0.95 * R)
-    shared_mults = np.where(rng.random(n_shared) < 0.15, 2, 1)
-    shared = ZeroSet.from_points(
-        shared_radii * np.exp(1j * rng.uniform(0, 2 * math.pi, n_shared)),
-        shared_mults,
-    )
-
-    def outer_set():
-        n = int(rng.integers(2, 7))
-        radii = _spread_radii(rng, n, 1.02 * R, 2.0 * R)
-        return ZeroSet.from_points(radii * np.exp(1j * rng.uniform(0, 2 * math.pi, n)))
-
-    return PairSpec(
-        shared=shared,
-        outer_a=outer_set(),
-        outer_b=outer_set(),
-        R=R,
-        delta=delta,
-        params=params,
-        ray_angle=ray_angle,
-    )
 
 
 # The desk-scale regime: every activation radius r1..r5 must land below R so

@@ -14,10 +14,13 @@ maxima to agree within 1%.  A disk sup lies on the boundary circle (maximum
 modulus principle): its coarse samples are the grid's polar lattice, its fine
 ones the circle at 2N points, whose even points are the lattice's outer ring.
 
-The theorem and step 5's ray read psi2/psi1 - 1 as e^L - 1 with
-L = (g2 - g1) + log(Pi2/Pi1), a sum over the signed outer zeros alone, so
-nothing is divided or masked.  Only the decomposition identity divides psi2 by
-psi1 and sums its tails factor by factor, as an independent reference.
+Every pair check but one reads psi2 through psi1: psi2/psi1 = e^L with
+L = (g2 - g1) + log(Pi2/Pi1) (`PairBuild.log_ratio`), a sum over the signed
+outer zeros alone, so nothing is divided or masked.  The theorem and step 5's
+ray read |e^L - 1|, step 5's psi2 envelope reads psi1*e^L and remark 5 reads
+|psi2 - psi1| = |psi1| |e^L - 1|.  Only the decomposition identity evaluates
+psi2 on its own, divides it by psi1 and sums its tails factor by factor, as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -387,13 +390,11 @@ def check_step5_bounds(
                             include=base_r * np.arange(1, p + 2, dtype=float))
     radii = np.real(fine)
     z_ray = radii * np.exp(1j * spec.ray_angle)
-    v1, v2 = build.psi1.evaluate(z_ray), build.psi2.evaluate(z_ray)
-    # the smallest C1 making |psi - 1| <= C1 r^(-mu) hold at the fine radii
+    v1, lam = build.psi1.evaluate(z_ray), build.log_ratio(z_ray)
+    # the smallest C1 making |psi - 1| <= C1 r^(-mu) hold at the fine radii, psi2 = psi1*e^L
     env_pre = _envelope_preconditions(params.C1, *(
-        float(np.max(np.abs(v - 1.0) * radii**params.mu, initial=0.0)) for v in (v1, v2)))
-    g_ray = _poly_delta(build, z_ray)
-    ratio_dev = np.abs(cexpm1(g_ray + build.log_tail_ratio(z_ray)))
-    report_b = _Sup.of(ratio_dev, coarse).report(
+        float(np.max(np.abs(v - 1.0) * radii**params.mu, initial=0.0)) for v in (v1, v1 * np.exp(lam))))
+    report_b = _Sup.of(np.abs(cexpm1(lam)), coarse).report(
         "ray-ratio-smallness",
         (2.0 + 3.0 * eta) * eta,
         [
@@ -445,7 +446,7 @@ def check_step5_bounds(
             precondition("eta2 <= eta", eta2 <= eta, eta, eta2),
         ] + env_pre,
         dict(Ap=Ap, eta=eta, disk_radius=base_r,
-             segment_observed=float(np.max(np.abs(cexpm1(g_ray)), initial=0.0)),
+             segment_observed=float(np.max(np.abs(cexpm1(_poly_delta(build, z_ray))), initial=0.0)),
              segment_bound=9.0 * eta, thresholds={"r3": stage.r3, "r4": stage.r4, "r5": stage.r5}),
     )
     return [report_b, report_pi, report_c, report_eta, report_d]
@@ -476,7 +477,7 @@ def check_theorem(
     radius = R ** (1.0 - delta)
 
     def magnitude(pts):
-        return np.abs(cexpm1(_poly_delta(build, pts) + build.log_tail_ratio(pts)))
+        return np.abs(cexpm1(build.log_ratio(pts)))
 
     (sup,) = _disk_sups(magnitude, radius, grid)
     meas = build.measured
@@ -510,8 +511,8 @@ def check_remark5(
     eps: float = 1.0,
     samples: int = 4096,
 ) -> VerificationReport:
-    """|psi2 - psi1| on [-R^(1-delta), R^(1-delta)] against the ratio bound
-    times the measured sup of |psi1| there.
+    """|psi2 - psi1| = |psi1| |e^L - 1| on [-R^(1-delta), R^(1-delta)] against
+    the ratio bound times the measured sup of |psi1| there.
 
     The exponent in the bound is mu*(1-delta), following the ratio bound the
     chain actually establishes.
@@ -522,9 +523,9 @@ def check_remark5(
     half = R ** (1.0 - delta)
 
     xs, coarse = _segment(-half + 0j, half + 0j, samples)
-    v1, v2 = build.psi1.evaluate(xs), build.psi2.evaluate(xs)
-    sup_psi1 = float(np.max(np.abs(v1)))
-    return _Sup.of(np.abs(v2 - v1), coarse).report(
+    abs_psi1 = np.abs(build.psi1.evaluate(xs))
+    sup_psi1 = float(np.max(abs_psi1))
+    return _Sup.of(abs_psi1 * np.abs(cexpm1(build.log_ratio(xs))), coarse).report(
         "difference-on-real-segment",
         derived.eps_bound(R) * sup_psi1,
         [precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R)],

@@ -32,7 +32,6 @@ from zeroratio.factors import (
     ZeroSet,
     guard_radius,
     log_primary_factor_grid,
-    primary_factor_grid,
 )
 from zeroratio.grids import DiskGrid
 from zeroratio.jost import (
@@ -47,7 +46,6 @@ from zeroratio.models import (
     build_pair,
     compliant_tail_zeros,
     engineered_pair,
-    random_pair,
 )
 from zeroratio.verifier import (
     check_decomposition,
@@ -56,6 +54,8 @@ from zeroratio.verifier import (
     check_theorem,
 )
 from zeroratio.zeros import count_bound_check, count_zeros, jensen_check
+
+from helpers import primary_factor_grid, random_pair
 
 
 _LINES: list[str] = []

@@ -12,8 +12,10 @@ import pytest
 from zeroratio import cli
 from zeroratio.factors import ZeroSet
 from zeroratio.jost import Kernel, save_kernel
-from zeroratio.models import random_pair, save_pair_file
+from zeroratio.models import save_pair_file
 from zeroratio.report import VerificationReport, format_float
+
+from helpers import random_pair
 
 
 def run(argv):
@@ -143,6 +145,19 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["verify", "lemma3", "--coeffs", "nan,1"], "argument --coeffs"),
     (["verify", "theorem", "--seed", "0", "--R", "2e8", "--delta", "0.5"], "--R needs --pair FILE"),
     (["zeros", "--radius", "10", "--delta", "0.5"], "--delta needs --pair FILE"),
+    (["verify", "lemma3", "--poly-seed", "0", "--R", "7", "--delta", "0.2"],
+     "unrecognized arguments: --R 7 --delta 0.2"),
+    (["verify", "lemma3", "--poly-seed", "0", "--pair", "no_such_file"], "unrecognized arguments: --pair"),
+    (["verify", "lemma3", "--poly-seed", "0", "--eps", "1"], "unrecognized arguments: --eps"),
+    (["zeros", "--kernel", "{kernel}", "--radius", "4", "--R", "5", "--delta", "0.3"],
+     "--R does not apply to --kernel"),
+    (["zeros", "--kernel", "{kernel}", "--radius", "4", "--pair", "{pair}"], "--pair does not apply to --kernel"),
+    (["jensen", "--kernel", "{kernel}", "--radius", "4", "--seed", "0"], "--seed does not apply to --kernel"),
+    (["jensen", "--kernel", "{kernel}", "--radius", "4", "--preset", "engineered"],
+     "--preset does not apply to --kernel"),
+    (["zeros", "--kernel", "{kernel}", "--radius", "4", "--component", "1"],
+     "--component does not apply to --kernel"),
+    (["zeros", "--radius", "4", "--boost"], "--boost applies only to --kernel"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
@@ -398,6 +413,24 @@ def test_zeros_subcommand_writes_csv(tmp_path):
     assert all(m == 1 for _loc, m in found)
 
 
+def test_zeros_rows_keep_their_order_when_a_mirror_zero_moves_one_ulp(monkeypatch, capsys):
+    """Rows go by modulus to 12 digits, then real part: moving one of two
+    mirror-image zeros by one ulp reorders the ZeroSet, not the output."""
+    left, right = -2.4520960066385 - 2.0187j, 2.4520960066385 - 2.0187j
+    nudged = complex(np.nextafter(right.real, 0.0), right.imag)
+    assert abs(nudged) < abs(left) == abs(right)
+    outputs = []
+    for zeros in ((left, right), (left, nudged)):
+        zs = ZeroSet.from_points(zeros)
+        monkeypatch.setattr(cli, "locate_zeros", lambda fn, center, radius, zs=zs: zs)
+        assert run(["zeros", "--radius", "4"]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    assert ZeroSet.from_points((left, nudged)).entries[0][0] == nudged
+    for lines in outputs:
+        assert [line.split(",")[0][0] for line in lines[1:]] == ["-", "2"]
+    assert outputs[0][1] == outputs[1][1]
+
+
 def test_jensen_subcommand_identity(tmp_path):
     kpath = kernel_file(tmp_path)
     out = tmp_path / "j.json"
@@ -485,6 +518,29 @@ def _fuzz_inputs(tmp_path):
     return {k: str(v) for k, v in good.items()}, [str(p) for p in bad]
 
 
+# flags that lemma 3, and zeros/jensen with --kernel, read nowhere
+_LEMMA3_STRAY = ("--pair", "--preset", "--seed", "--poly-scale", "--R", "--delta", "--eps")
+_KERNEL_STRAY = ("--pair", "--R", "--delta", "--seed", "--preset", "--component")
+_STRAY_VALUES = {"--R": "5", "--delta": "0.3", "--seed": "0", "--preset": "engineered",
+                 "--component": "1", "--poly-scale": "0", "--eps": "1"}
+
+
+def _stray(rng, flags, good):
+    flag = rng.choice(flags)
+    return [flag, good["pair"] if flag == "--pair" else _STRAY_VALUES[flag]]
+
+
+def _stray_flag(argv):
+    """The first flag of argv that its subcommand reads nowhere, or None."""
+    if argv[:2] == ["verify", "lemma3"]:
+        flags = _LEMMA3_STRAY
+    elif argv[0] in ("zeros", "jensen") and "--kernel" in argv:
+        flags = _KERNEL_STRAY
+    else:
+        return None
+    return next((a for a in argv if a in flags), None)
+
+
 def _fuzz_argv(rng, good, bad, out_dir):
     def val(*valid):
         return rng.choice(valid) if rng.random() < 0.75 else rng.choice(_BAD_VALUES)
@@ -506,6 +562,8 @@ def _fuzz_argv(rng, good, bad, out_dir):
         source = rng.choice(["kernel", "pair", "preset", "custom"])
         if source == "kernel":
             argv = [cmd, "--kernel", path("kernel"), "--radius", val("5", "12")]
+            if rng.random() < 0.3:
+                argv += _stray(rng, _KERNEL_STRAY, good)
         else:
             argv = [cmd, "--radius", val("50", "300")]
         if source == "pair":
@@ -538,6 +596,8 @@ def _fuzz_argv(rng, good, bad, out_dir):
             else:
                 argv += ["--poly-seed", val("1", "11"), "--p", val("2", "3")]
             argv += ["--r", val("2", "5"), "--mu", val("1", "2")]
+            if rng.random() < 0.3:
+                argv += _stray(rng, _LEMMA3_STRAY, good)
         elif which == "lemma2" and rng.random() < 0.4:
             argv += ["--zeros", path("zeros"), "--R", val("60", "120")]
         elif rng.random() < 0.5:
@@ -546,7 +606,7 @@ def _fuzz_argv(rng, good, bad, out_dir):
             argv += ["--seed", val("0", "3", "12"), "--poly-scale", val("1.5e-05", "0")]
             if rng.random() < 0.2:
                 argv += [rng.choice(["--R", "--delta"]), val("300", "0.9")]
-        if rng.random() < 0.3:
+        if which != "lemma3" and rng.random() < 0.3:
             argv += ["--eps", val("1", "0.5")]
         if rng.random() < 0.2:
             argv += ["--format", rng.choice(["json", "csv"])]
@@ -597,6 +657,8 @@ def test_fuzzed_invocations_keep_the_exit_code_contract(tmp_path, capsys):
         assert rc in (0, 1, 2, 64, 66, 73), argv
         if "--seed" in argv and {"--R", "--delta"} & set(argv):
             assert rc == 64, argv  # the preset sets its own R and delta
+        if _stray_flag(argv):
+            assert rc == 64, argv  # a flag read nowhere is a usage error
         assert "Traceback" not in captured.err, argv
         if rc == 1:
             if "csv" in argv:

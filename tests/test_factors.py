@@ -23,8 +23,9 @@ from zeroratio.factors import (
     log_far_field,
     log_primary_factor_grid,
     log_tail_product_grid,
-    primary_factor_grid,
 )
+
+from helpers import primary_factor_grid
 
 
 def tail_product_at(spec, z):

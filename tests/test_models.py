@@ -25,11 +25,12 @@ from zeroratio.models import (
     engineered_pair,
     load_pair_file,
     measurement_window,
-    random_pair,
     save_pair_file,
 )
 from zeroratio.verifier import check_theorem
 from zeroratio.zeros import locate_zeros
+
+from helpers import mpmath_product, random_pair
 
 
 # ---------------------------------------------------------------------------
@@ -97,20 +98,10 @@ def _mixed_model(rng, genus, with_poly):
                        poly=poly)
 
 
-def _mpmath_product(model, w):
-    """The canonical product at the mpc w, factor by factor, at mpmath's precision."""
-    value = mpmath.exp(sum(mpmath.mpc(c) * w**k for k, c in enumerate(model.poly)))
-    for loc, mult in model.zeros:
-        xi = w / mpmath.mpc(loc.real, loc.imag)
-        partial = sum(xi**k / k for k in range(1, model.genus + 1))
-        value *= ((1 - xi) * mpmath.exp(partial)) ** mult
-    return value
-
-
 def _mpmath_value(model, z):
     """The canonical product at z in 40-digit arithmetic."""
     with mpmath.workdps(40):
-        return complex(_mpmath_product(model, mpmath.mpc(z.real, z.imag)))
+        return complex(mpmath_product(model, mpmath.mpc(z.real, z.imag)))
 
 
 def _term_magnitude(model, z):
@@ -338,7 +329,7 @@ def test_pair_log_ratio_matches_mpmath_at_the_theorem_argmax():
         assert deviation[k] == check_theorem(build)[0].observed
         with mpmath.workdps(40):
             w = mpmath.mpc(circle[k].real, circle[k].imag)
-            exact = float(abs(_mpmath_product(build.psi2, w) / _mpmath_product(build.psi1, w) - 1))
+            exact = float(abs(mpmath_product(build.psi2, w) / mpmath_product(build.psi1, w) - 1))
         assert abs(deviation[k] - exact) <= 1e-14 * exact, seed
 
 

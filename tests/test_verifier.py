@@ -4,6 +4,7 @@ import math
 from collections import defaultdict
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,8 +16,8 @@ from zeroratio.models import (
     PairSpec,
     build_pair,
     compliant_tail_zeros,
+    _spread_radii,
     engineered_pair,
-    random_pair,
 )
 from zeroratio.report import FAIL, PASS, PASS_UNMET
 from zeroratio.verifier import (
@@ -31,6 +32,8 @@ from zeroratio.verifier import (
 )
 from zeroratio.grids import DiskGrid, segment_points
 from zeroratio.jost import ray_envelope_constant
+
+from helpers import mpmath_product, random_pair
 
 # a deliberately small grid keeps the sampled suprema honest while holding the
 # per-test runtime to a fraction of a second
@@ -95,11 +98,14 @@ def evaluated(monkeypatch):
 
 def test_each_sample_is_evaluated_once(evaluated):
     """A disk sup costs (NR+1)*NT points, the ray of step 5 and the segment of
-    remark 5 one point per fine sample, and no call sees a point twice.  The
-    theorem reaches only the pair's log-ratio evaluator; step 5 feeds it the
-    ray and then the tail disk."""
+    remark 5 one point per fine sample, and no call sees a point twice.  Only
+    the decomposition identity evaluates psi2.  The theorem reaches only the
+    pair's log-ratio evaluator; step 5 evaluates psi1 on the ray and feeds the
+    log ratio the ray and then the tail disk; remark 5 evaluates psi1 and the
+    log ratio on its segment."""
     grid = DiskGrid(rings=6, spokes=40)
     disk = (grid.rings + 1) * grid.spokes
+    lattice = grid.rings * grid.spokes
     build = engineered_pair(3)
     spec, p = build.spec, build.p
     tail_a = EntireModel(genus=p, zeros=spec.outer_a)
@@ -109,10 +115,11 @@ def test_each_sample_is_evaluated_once(evaluated):
                                grid=grid)],
          lambda reps: {tail_a: [disk]}),
         (lambda: check_step5_bounds(build, grid=grid, segment_samples=64),
-         lambda reps: {build.psi1: [reps[0].samples], build.psi2: [reps[0].samples],
-                       build: [reps[0].samples, disk]}),
+         lambda reps: {build.psi1: [reps[0].samples], build: [reps[0].samples, disk]}),
         (lambda: [check_remark5(build, samples=256)],
-         lambda reps: {build.psi1: [511], build.psi2: [511]}),
+         lambda reps: {build.psi1: [511], build: [511]}),
+        (lambda: [check_decomposition(build, grid=grid)],
+         lambda reps: {build.psi1: [lattice], build.psi2: [lattice]}),
     ]
     for run, expected in runs:
         evaluated.clear()
@@ -125,7 +132,8 @@ def test_each_sample_is_evaluated_once(evaluated):
 
 def test_step5_envelopes_are_the_ray_envelope_constants():
     """Step 5 reads its envelopes off its fine ray values: the coarse samples
-    plus their midpoints, plus the nodes k*R^(1-delta)."""
+    plus their midpoints, plus the nodes k*R^(1-delta).  psi2 is read as
+    psi1*e^L."""
     n = 96
     for seed, scale in ((0, 0.0), (1, 1.5e-05)):
         build = engineered_pair(seed, poly_scale=scale)
@@ -137,7 +145,8 @@ def test_step5_envelopes_are_the_ray_envelope_constants():
         assert reports[0].samples == len(radii)
         for rep in (reports[0], reports[-1]):
             actual = {c.name: c.actual for c in rep.preconditions}
-            for name, model in (("psi1", build.psi1), ("psi2", build.psi2)):
+            for name, model in (("psi1", build.psi1),
+                                ("psi2", lambda z: build.psi1(z) * np.exp(build.log_ratio(z)))):
                 assert actual[f"measured ray envelope {name} <= C1"] == ray_envelope_constant(
                     model, spec.ray_angle, spec.params.mu, radii)
 
@@ -429,3 +438,42 @@ def test_remark5_identical_pair_has_zero_difference():
     rep = check_remark5(build_pair(spec), samples=512)
     assert rep.observed == 0.0
     assert rep.verdict != FAIL
+
+
+def _zeros_only_pair(R, seed=5):
+    """The engineered class without polynomial exponents, at any R: 4 shared
+    zeros in [0.77R, 0.973R] and 3 outer zeros per side in [1.04R, 1.383R]."""
+    rng = np.random.default_rng(seed)
+    params = ClassParams(C0=0.5, C1=2e-3, rho=1.0, sigma=2.2e-3, mu=2.0, r0=1.0)
+
+    def zeros(count, lo, hi):
+        radii = _spread_radii(rng, count, lo * R, hi * R)
+        return ZeroSet.from_points(radii * np.exp(1j * rng.uniform(0, 2 * math.pi, count)))
+
+    return build_pair(PairSpec(zeros(4, 0.77, 0.973), zeros(3, 1.04, 1.383), zeros(3, 1.04, 1.383),
+                               R=R, delta=0.9, params=params))
+
+
+@pytest.mark.parametrize("make", [*(lambda s=s: engineered_pair(s) for s in range(4)),
+                                  lambda: _zeros_only_pair(9600.0)],
+                         ids=[*(f"engineered-{s}" for s in range(4)), "zeros-only-R9600"])
+def test_remark5_difference_matches_mpmath(make):
+    """observed = max |psi1| |e^L - 1| over the fine segment samples, against
+    |psi2 - psi1| from 40-digit canonical products.  Measured worst:
+    5.6e-16 relative.  Subtracting the two double-precision models instead
+    errs by up to 2.4e-7 on these seeds and by 9.7e-2 at R = 9,600, where
+    |psi2 - psi1| is 9.5e-16 and |psi1| is about 1."""
+    build = make()
+    spec = build.spec
+    rep = check_remark5(build, samples=256)
+    half = spec.R ** (1.0 - spec.delta)
+    xs, _coarse = _segment(-half + 0j, half + 0j, 256)
+    # psi2 - psi1 = (shared product) * (e^g2 Pi2 - e^g1 Pi1)
+    shared, side_a, side_b = (EntireModel(genus=build.p, zeros=zeros, poly=poly) for zeros, poly in (
+        (spec.shared, ()), (spec.outer_a, spec.poly_a), (spec.outer_b, spec.poly_b)))
+    with mpmath.workdps(40):
+        exact = float(max(
+            abs(mpmath_product(shared, w) * (mpmath_product(side_b, w) - mpmath_product(side_a, w)))
+            for w in (mpmath.mpc(x.real, x.imag) for x in xs)))
+    assert rep.samples == len(xs)
+    assert abs(rep.observed - exact) <= 1e-12 * exact
