@@ -184,8 +184,21 @@ def _class_params(args) -> ClassParams:
         raise _UsageError(f"invalid class parameter: {exc}") from exc
 
 
+def _reject_stray(args, flags, source: str) -> None:
+    """A usage error naming the first of `flags` given on the command line,
+    since the chosen `source` reads none of them."""
+    stray = [flag for flag in flags if getattr(args, flag, None) is not None]
+    if stray:
+        raise _UsageError(f"--{stray[0].replace('_', '-')} does not apply to {source}")
+
+
+# the flags of the engineered preset, which a pair or zero file replaces
+_PRESET_FLAGS = ("preset", "seed", "poly_scale")
+
+
 def _load_build(args) -> PairBuild:
     if args.pair is not None:
+        _reject_stray(args, _PRESET_FLAGS, "--pair FILE")
         if args.R is None or args.delta is None:
             raise _UsageError("--pair requires --R and --delta")
         spec = load_pair_file(args.pair, args.R, args.delta)
@@ -195,30 +208,24 @@ def _load_build(args) -> PairBuild:
     for flag in ("R", "delta"):
         if getattr(args, flag) is not None:
             raise _UsageError(f"--{flag} needs --pair FILE: the engineered preset sets its own")
-    return engineered_pair(args.seed, poly_scale=getattr(args, "poly_scale", 0.0))
+    return engineered_pair(args.seed or 0, poly_scale=getattr(args, "poly_scale", None) or 0.0)
 
 
-# the zeros/jensen flags that select a pair, with their defaults
-_PAIR_SELECTION = {"pair": None, "R": None, "delta": None, "preset": "engineered", "seed": 0,
-                   "component": 1}
+# the zeros/jensen flags that select a pair
+_PAIR_SELECTION = ("pair", "R", "delta", "preset", "seed", "component")
 
 
 def _select_function(args):
     """Input function for zeros/jensen: kernel file, pair file, or preset.
     A flag of the source not chosen is a usage error, not ignored."""
     if args.kernel is not None:
-        stray = [flag for flag in _PAIR_SELECTION if getattr(args, flag) is not None]
-        if stray:
-            raise _UsageError(f"--{stray[0]} does not apply to --kernel")
+        _reject_stray(args, _PAIR_SELECTION, "--kernel")
         jost = JostFn(load_kernel(args.kernel))
         return boost_ray_decay(jost) if args.boost else jost.as_analytic_fn()
     if args.boost:
         raise _UsageError("--boost applies only to --kernel")
-    for flag, default in _PAIR_SELECTION.items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
     build = _load_build(args)
-    model = build.psi1 if args.component == 1 else build.psi2
+    model = build.psi2 if args.component == 2 else build.psi1
     return model.as_analytic_fn()
 
 
@@ -302,6 +309,7 @@ def _cmd_jost(args) -> int:
 
 def _verify_lemma2(args) -> list[VerificationReport]:
     if args.zeros is not None:
+        _reject_stray(args, ("pair",) + _PRESET_FLAGS, "--zeros FILE")
         params = _class_params(args)
         if args.R is None:
             raise _UsageError("verify lemma2 with --zeros requires --R")
@@ -352,6 +360,9 @@ def _verify_lemma3(args) -> list[VerificationReport]:
 
 def _cmd_verify(args) -> int:
     kind = args.which
+    if kind in ("lemma2", "step5", "decomposition"):
+        _reject_stray(args, ("eps",), f"verify {kind}")
+    eps = 1.0 if getattr(args, "eps", None) is None else args.eps
     if kind == "lemma2":
         reports = _verify_lemma2(args)
     elif kind == "lemma3":
@@ -363,9 +374,9 @@ def _cmd_verify(args) -> int:
         elif kind == "step5":
             reports = check_step5_bounds(build, grid=args.grid)
         elif kind == "theorem":
-            reports = check_theorem(build, eps=args.eps, grid=args.grid)
+            reports = check_theorem(build, eps=eps, grid=args.grid)
         elif kind == "remark5":
-            reports = [check_remark5(build, eps=args.eps)]
+            reports = [check_remark5(build, eps=eps)]
         else:  # pragma: no cover - argparse restricts choices
             raise _UsageError(f"unknown verify target {kind!r}")
     for r in reports:
@@ -461,13 +472,16 @@ def build_parser() -> _Parser:
     pair = argparse.ArgumentParser(add_help=False)  # every check but lemma 3
     pair.add_argument("--R", type=_parse_positive, default=None)
     pair.add_argument("--delta", type=_parse_delta, default=None)
-    pair.add_argument("--eps", type=_parse_positive, default=1.0)
+    pair.add_argument("--eps", type=_parse_positive, default=None,
+                      help="target accuracy of theorem and remark5 (default 1)")
     pair.add_argument("--pair", default=None, help="pair JSON file")
-    pair.add_argument("--preset", choices=("engineered", "custom"), default="engineered")
-    pair.add_argument("--seed", type=_parse_seed, default=0)
-    pair.add_argument("--poly-scale", dest="poly_scale", type=_parse_non_negative, default=0.0,
+    pair.add_argument("--preset", choices=("engineered", "custom"), default=None,
+                      help="default engineered, without --pair")
+    pair.add_argument("--seed", type=_parse_seed, default=None, help="default 0")
+    pair.add_argument("--poly-scale", dest="poly_scale", type=_parse_non_negative, default=None,
                       help="inject polynomial exponents g into the preset pair, with "
-                           "|g(z)|*|z|^mu at most this on the ray measurement window")
+                           "|g(z)|*|z|^mu at most this on the ray measurement window "
+                           "(default 0)")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--grid", type=_parse_grid, default=None, metavar="NRxNT",
                         help="rings x boundary samples of the disk grid")

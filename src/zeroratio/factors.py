@@ -98,7 +98,10 @@ class ZeroSet:
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only locations, multiplicities and moduli, built once."""
         locs = np.array([loc for loc, _ in self.entries], dtype=complex)
-        arrays = (locs, np.array([m for _, m in self.entries], dtype=int), np.abs(locs))
+        # hypot is the modulus Python's abs gives, bitwise, as the sort and
+        # min_modulus read it; np.abs can differ in the last bit
+        arrays = (locs, np.array([m for _, m in self.entries], dtype=int),
+                  np.hypot(locs.real, locs.imag))
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -239,6 +242,15 @@ def log_primary_factor_grid(xi: np.ndarray, p: int, out: np.ndarray | None = Non
 _FAR_FIELD_TOL = 1e-17
 
 
+def far_field_order(q: float, p: int) -> int:
+    """The smallest order K > p whose remainder q^(K+1)/(K+1) of the genus-p
+    tail series is below _FAR_FIELD_TOL times its bound q^(p+1)/(p+1), q < 1."""
+    K = p + 1
+    while q ** (K - p) * (p + 1) / (K + 1) > _FAR_FIELD_TOL:
+        K += 1
+    return K
+
+
 def log_far_field(z: np.ndarray, locations: np.ndarray, multiplicities: np.ndarray, p: int) -> np.ndarray:
     """sum_n m_n log E_p(z/z_n) for zeros with |z_n| >= 2 max|z|, by power sums.
 
@@ -255,9 +267,7 @@ def log_far_field(z: np.ndarray, locations: np.ndarray, multiplicities: np.ndarr
     q = float(np.max(np.abs(z), initial=0.0)) / (2.0 * s)
     if q > 0.5:
         raise DomainError(f"far-field zeros need |z_n| >= 2 max|z|, got max|z|/min|z_n| = {q:.6g}")
-    K = p + 1
-    while q ** (K - p) * (p + 1) / (K + 1) > _FAR_FIELD_TOL:
-        K += 1
+    K = far_field_order(q, p)
     ratios = s / locations
     powers = np.cumprod(np.broadcast_to(ratios, (K - p, len(ratios))), axis=0) * ratios**p
     coeffs = (powers @ multiplicities) / np.arange(p + 1, K + 1)

@@ -217,7 +217,8 @@ class PairBuild:
         locs, index = np.unique(np.concatenate([b.locations(), a.locations()]), return_inverse=True)
         net = np.zeros(len(locs), dtype=int)
         np.add.at(net, index, np.concatenate([b.multiplicities(), -a.multiplicities()]))
-        arrays = (locs[net != 0], net[net != 0], np.abs(locs[net != 0]))
+        locs = locs[net != 0]
+        arrays = (locs, net[net != 0], np.hypot(locs.real, locs.imag))
         for array in arrays:
             array.flags.writeable = False
         return arrays

@@ -19,8 +19,8 @@ L = (g2 - g1) + log(Pi2/Pi1) (`PairBuild.log_ratio`), a sum over the signed
 outer zeros alone, so nothing is divided or masked.  The theorem and step 5's
 ray read |e^L - 1|, step 5's psi2 envelope reads psi1*e^L and remark 5 reads
 |psi2 - psi1| = |psi1| |e^L - 1|.  Only the decomposition identity evaluates
-psi2 on its own, divides it by psi1 and sums its tails factor by factor, as an
-independent reference.
+psi2 on its own, divides it by psi1 and sums its tails factor by factor, on
+the boundary circle, as an independent reference.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .constants import (
     threshold_r2,
     vandermonde_cofactors,
 )
-from .factors import TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid
+from .factors import TailProductSpec, ZeroSet, cexpm1, far_field_order, log_tail_product_grid
 from .grids import DiskGrid, segment_points
 from .models import CountCompliance, EntireModel, PairBuild, count_compliance
 from .report import Precondition, VerificationReport, precondition
@@ -298,6 +298,35 @@ def check_lemma3(
 # ---------------------------------------------------------------------------
 
 
+def _lattice_log_tail_ratio(tails: Sequence[TailProductSpec], grid: DiskGrid,
+                            radius: float) -> np.ndarray:
+    """log Pi1 - log Pi2 on the grid's polar lattice of B(0, radius), summed
+    factor by factor on the boundary circle only.
+
+    The sum is holomorphic on the closed disk, so the FFT of its values at
+    n equispaced circle points gives its Taylor coefficients times radius^m,
+    aliased by those of order m + n, m + 2n, ...  n is the smallest
+    spokes*2^j above the order `log_far_field` keeps for q = radius/min|z_n|,
+    which leaves the aliased remainder under the power sums' own 1e-17
+    relative rule.  Ring k is the inverse FFT of the coefficients scaled by
+    (r_k/radius)^m and folded onto the spokes (Cauchy's formula by the
+    trapezoid rule); the outer ring is every 2^j-th circle point, bitwise.
+    """
+    radii = grid.ring_radii(radius)
+    for tail in tails:
+        tail.require_guard(radii[-1:])  # q < 1, so the order below is finite
+    q = radii[-1] / min(tail.zeros.min_modulus() for tail in tails)
+    n, order = grid.spokes, far_field_order(q, tails[0].genus)
+    while n <= order:
+        n *= 2
+    circle = DiskGrid(1, n).points(radii[-1])
+    on_circle = log_tail_product_grid(tails[0], circle) - log_tail_product_grid(tails[1], circle)
+    scaled = np.fft.fft(on_circle) * (radii[:-1, None] / radii[-1]) ** np.arange(n)
+    folded = scaled.reshape(len(scaled), -1, grid.spokes).sum(axis=1)
+    inner = np.fft.ifft(folded, axis=1) * (grid.spokes / n)
+    return np.concatenate([inner.ravel(), on_circle[:: n // grid.spokes]])
+
+
 def check_decomposition(
     build: PairBuild,
     grid: DiskGrid | None = None,
@@ -306,16 +335,22 @@ def check_decomposition(
 
     e^(g2-g1) - 1 must equal (psi2/psi1 - 1)*Pi1/Pi2 + (Pi1/Pi2 - 1) exactly;
     the check evaluates both sides independently (the exponents on the left;
-    honest division of the models and the direct factor-by-factor tail sum
-    on the right) and reports the largest discrepancy against a 1e-10 floor
-    scaled by the magnitudes involved.  An identity holds inside the disk as
-    much as on its boundary, so the samples are the whole polar lattice of
-    the grid.  It is the one check that divides psi2 by psi1, so near-zero
-    denominators are excluded here, with the count reported.
+    honest division of the models and a reference tail sum that never uses
+    power sums on the right) and reports the largest discrepancy against a
+    1e-10 floor scaled by the magnitudes involved.  An identity holds inside
+    the disk as much as on its boundary, so the samples are the whole polar
+    lattice of the grid.  The models are evaluated at every lattice point;
+    the tail sum factor by factor on the boundary circle only, reaching the
+    inner rings by Cauchy's formula (`_lattice_log_tail_ratio`), with an
+    absolute error of about eps times the tails' power-sum bound
+    sum m_n (radius/|z_n|)^(p+1) on the circle.  It is the one check that
+    divides psi2 by psi1, so near-zero denominators are excluded here, with
+    the count reported.
     """
     spec = build.spec
+    grid = grid or default_disk_grid()
     radius = (build.p + 1) * spec.R ** (1.0 - spec.delta)
-    pts = (grid or default_disk_grid()).points(radius)
+    pts = grid.points(radius)
 
     v1, v2 = build.psi1.evaluate(pts), build.psi2.evaluate(pts)
     scale = float(np.max(np.abs(v1), initial=0.0))
@@ -324,8 +359,7 @@ def check_decomposition(
     keep = np.abs(v1) > _DENOM_FLOOR * scale  # near-zero denominators are excluded, not divided
     ratio_m1 = np.zeros_like(v1)
     ratio_m1[keep] = (v2[keep] - v1[keep]) / v1[keep]
-    log_ratio = (log_tail_product_grid(build.tail_spec_a(), pts)
-                 - log_tail_product_grid(build.tail_spec_b(), pts))
+    log_ratio = _lattice_log_tail_ratio((build.tail_spec_a(), build.tail_spec_b()), grid, radius)
     pi_ratio = np.exp(log_ratio)
     pi_m1 = cexpm1(log_ratio)
     lhs = cexpm1(_poly_delta(build, pts))

@@ -158,6 +158,21 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["zeros", "--kernel", "{kernel}", "--radius", "4", "--component", "1"],
      "--component does not apply to --kernel"),
     (["zeros", "--radius", "4", "--boost"], "--boost applies only to --kernel"),
+    (["verify", "step5", "--eps", "7"], "--eps does not apply to verify step5"),
+    (["verify", "decomposition", "--eps", "7"], "--eps does not apply to verify decomposition"),
+    (["verify", "lemma2", "--eps", "7"], "--eps does not apply to verify lemma2"),
+    (["verify", "lemma2", "--zeros", "{pair}", "--R", "10", "--eps", "7"],
+     "--eps does not apply to verify lemma2"),
+    (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "0.6", "--seed", "7"],
+     "--seed does not apply to --pair FILE"),
+    (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "0.6", "--poly-scale", "1e-3"],
+     "--poly-scale does not apply to --pair FILE"),
+    (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "0.6", "--preset", "custom"],
+     "--preset does not apply to --pair FILE"),
+    (["zeros", "--pair", "{pair}", "--R", "400", "--delta", "0.6", "--radius", "4", "--seed", "0"],
+     "--seed does not apply to --pair FILE"),
+    (["verify", "lemma2", "--zeros", "{pair}", "--R", "10", "--pair", "{pair}"],
+     "--pair does not apply to --zeros FILE"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
@@ -518,9 +533,14 @@ def _fuzz_inputs(tmp_path):
     return {k: str(v) for k, v in good.items()}, [str(p) for p in bad]
 
 
-# flags that lemma 3, and zeros/jensen with --kernel, read nowhere
+# flags that lemma 3, zeros/jensen with --kernel, a pair file and lemma 2's
+# zero file read nowhere
 _LEMMA3_STRAY = ("--pair", "--preset", "--seed", "--poly-scale", "--R", "--delta", "--eps")
 _KERNEL_STRAY = ("--pair", "--R", "--delta", "--seed", "--preset", "--component")
+_PAIR_STRAY = ("--preset", "--seed", "--poly-scale")
+_ZEROS_STRAY = ("--pair",) + _PAIR_STRAY
+# the verify checks that read no --eps
+_NO_EPS = ("lemma2", "step5", "decomposition")
 _STRAY_VALUES = {"--R": "5", "--delta": "0.3", "--seed": "0", "--preset": "engineered",
                  "--component": "1", "--poly-scale": "0", "--eps": "1"}
 
@@ -536,8 +556,14 @@ def _stray_flag(argv):
         flags = _LEMMA3_STRAY
     elif argv[0] in ("zeros", "jensen") and "--kernel" in argv:
         flags = _KERNEL_STRAY
+    elif "--zeros" in argv:
+        flags = _ZEROS_STRAY
+    elif "--pair" in argv:
+        flags = _PAIR_STRAY
     else:
-        return None
+        flags = ()
+    if argv[0] == "verify" and argv[1] in _NO_EPS:
+        flags += ("--eps",)
     return next((a for a in argv if a in flags), None)
 
 
@@ -568,6 +594,8 @@ def _fuzz_argv(rng, good, bad, out_dir):
             argv = [cmd, "--radius", val("50", "300")]
         if source == "pair":
             argv += ["--pair", path("pair"), "--R", val("400"), "--delta", val("0.6667")]
+            if rng.random() < 0.2:
+                argv += _stray(rng, _PAIR_STRAY[:2], good)
         elif source == "preset":
             argv += ["--seed", val("0", "3", "7"), "--component", val("1", "2")]
             if rng.random() < 0.2:
@@ -600,8 +628,12 @@ def _fuzz_argv(rng, good, bad, out_dir):
                 argv += _stray(rng, _LEMMA3_STRAY, good)
         elif which == "lemma2" and rng.random() < 0.4:
             argv += ["--zeros", path("zeros"), "--R", val("60", "120")]
+            if rng.random() < 0.2:
+                argv += _stray(rng, _ZEROS_STRAY, good)
         elif rng.random() < 0.5:
             argv += ["--pair", path("pair"), "--R", val("400", "300"), "--delta", val("0.6667", "0.5")]
+            if rng.random() < 0.2:
+                argv += _stray(rng, _PAIR_STRAY, good)
         else:
             argv += ["--seed", val("0", "3", "12"), "--poly-scale", val("1.5e-05", "0")]
             if rng.random() < 0.2:

@@ -284,6 +284,21 @@ def test_zeroset_merge_count():
     assert zs.max_modulus() == pytest.approx(4.0)
 
 
+def test_zeroset_moduli_are_the_moduli_it_sorts_by():
+    """moduli() is Python's abs of each zero, bitwise, so it is sorted and
+    its first entry is min_modulus(); numpy's complex abs can differ in the
+    last bit, as it does for 2.4520960066385 - 2.0187j moved one ulp left."""
+    rng = np.random.default_rng(5)
+    points = list(rng.normal(size=400) * 10.0 ** rng.uniform(-3, 3, 400)
+                  + 1j * rng.normal(size=400) * 10.0 ** rng.uniform(-3, 3, 400))
+    points += [-2.4520960066385 - 2.0187j, complex(np.nextafter(2.4520960066385, 0.0), -2.0187)]
+    zs = ZeroSet.from_points(points)
+    moduli = zs.moduli()
+    assert moduli.tolist() == [abs(z) for z, _ in zs.entries]
+    assert np.all(np.diff(moduli) >= 0.0)
+    assert moduli[0] == zs.min_modulus() and moduli[-1] == zs.max_modulus()
+
+
 # ---------------------------------------------------------------------------
 # tail products
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from zeroratio.constants import ClassParams, ParameterError, constant_Ap
-from zeroratio.factors import DomainError, ZeroSet, cexpm1
+from zeroratio.factors import DomainError, TailProductSpec, ZeroSet, cexpm1, log_tail_product_grid
 from zeroratio.models import (
     EntireModel,
     PairBuild,
@@ -28,11 +28,13 @@ from zeroratio.verifier import (
     check_step5_bounds,
     check_theorem,
     default_disk_grid,
+    _lattice_log_tail_ratio,
     _segment,
 )
 from zeroratio.grids import DiskGrid, segment_points
 from zeroratio.jost import ray_envelope_constant
 
+from golden_sweep import WIDE_SIGMAS, _wide_spec
 from helpers import mpmath_product, random_pair
 
 # a deliberately small grid keeps the sampled suprema honest while holding the
@@ -276,6 +278,65 @@ def test_single_extra_zero_gives_primary_factor_ratio():
     ratio = build.psi2(z) / build.psi1(z)
     oracle = np.array([factor(w / loc) for w in z])
     assert np.max(np.abs(ratio - oracle)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def reference_tails():
+    """(name, tails, genus, disk radius) of engineered seeds 0-3, three wide
+    pairs drawn like the benchmark's pair files, and a genus-2 pair of tails
+    whose zeros start at 1/0.6 of the disk radius."""
+    cases = []
+    rng = np.random.default_rng(2023)
+    builds = [(f"engineered-{seed}", engineered_pair(seed)) for seed in range(4)]
+    builds += [(f"wide-{i}", build_pair(_wide_spec(rng, sigma)))
+               for i, sigma in enumerate(WIDE_SIGMAS[:3])]
+    for name, build in builds:
+        radius = (build.p + 1) * build.spec.R ** (1.0 - build.spec.delta)
+        cases.append((name, (build.tail_spec_a(), build.tail_spec_b()), build.p, radius))
+    rng = np.random.default_rng(7)
+    zeros = [ZeroSet.from_points(100.0 * rng.uniform(1.0, 3.0, 40)
+                                 * np.exp(2j * np.pi * rng.uniform(size=40))) for _ in range(2)]
+    radius = 0.6 * min(z.min_modulus() for z in zeros)
+    cases.append(("q=0.6", tuple(TailProductSpec(z, 2, 100.0) for z in zeros), 2, radius))
+    return cases
+
+
+@pytest.mark.parametrize("grid", [DiskGrid(8, 256), DiskGrid(16, 64), DiskGrid(4, 16), DiskGrid(2, 8)],
+                         ids=["8x256", "16x64", "4x16", "2x8"])
+def test_circle_sum_reaches_the_inner_rings_by_cauchys_formula(grid, reference_tails):
+    """log Pi1 - log Pi2 extended from the boundary circle equals the direct
+    sum at every lattice point, within 16 eps of the two tails' power-sum
+    bound sum m_n (radius/|z_n|)^(p+1) on the circle, the scale of the direct
+    sum's own rounding.  The q = 0.6 tails need 128 circle points at 2x8:
+    8 samples would alias their coefficients of order 8, 16, ... at 0.6^8."""
+    eps = np.finfo(float).eps
+    for name, tails, p, radius in reference_tails:
+        pts = grid.points(radius)
+        direct = log_tail_product_grid(tails[0], pts) - log_tail_product_grid(tails[1], pts)
+        extended = _lattice_log_tail_ratio(tails, grid, radius)
+        scale = sum(np.sum(t.zeros.multiplicities() * (radius / t.zeros.moduli()) ** (p + 1))
+                    for t in tails)
+        assert np.max(np.abs(extended - direct)) <= 16.0 * eps * scale, name
+        assert np.max(np.abs(extended[-grid.spokes:])) <= scale, name
+
+
+def test_decomposition_sums_its_tails_on_one_circle(monkeypatch, reference_tails):
+    """The direct tail sum sees one circle per tail, never the inner rings:
+    the grid's spokes unless the tails' far-field order needs 2^j times as
+    many."""
+    seen = []
+
+    def counting(spec, z, original=log_tail_product_grid):
+        seen.append(len(z))
+        return original(spec, z)
+
+    monkeypatch.setattr("zeroratio.verifier.log_tail_product_grid", counting)
+    check_decomposition(engineered_pair(0))
+    check_decomposition(build_pair(_wide_spec(np.random.default_rng(2023), WIDE_SIGMAS[0])),
+                        grid=DiskGrid(16, 64))
+    _, tails, _, radius = reference_tails[-1]
+    _lattice_log_tail_ratio(tails, DiskGrid(2, 8), radius)
+    assert seen == [256, 256, 64, 64, 128, 128]
 
 
 # ---------------------------------------------------------------------------
