@@ -23,6 +23,7 @@ import functools
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,7 +67,11 @@ class _OutputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through exit code 64."""
+    """argparse that reports usage problems through exit code 64 and puts a
+    flag in the Namespace only when the command line gives it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         raise _UsageError(f"{self.prog}: error: {message}")
@@ -177,74 +182,43 @@ def _parse_grid(text: str) -> DiskGrid:
 
 def _class_params(args) -> ClassParams:
     try:
-        return ClassParams(
-            C0=args.C0, C1=args.C1, rho=args.rho, sigma=args.sigma, mu=args.mu, r0=args.r0
-        )
+        return ClassParams(**{name: getattr(args, name) for name in _CLASS})
     except ParameterError as exc:
         raise _UsageError(f"invalid class parameter: {exc}") from exc
 
 
-def _reject_stray(args, flags, source: str) -> None:
-    """A usage error naming the first of `flags` given on the command line,
-    since the chosen `source` reads none of them."""
-    stray = [flag for flag in flags if getattr(args, flag, None) is not None]
-    if stray:
-        raise _UsageError(f"--{stray[0].replace('_', '-')} does not apply to {source}")
-
-
-# the flags of the engineered preset, which a pair or zero file replaces
-_PRESET_FLAGS = ("preset", "seed", "poly_scale")
-
-
-def _load_build(args) -> PairBuild:
-    if args.pair is not None:
-        _reject_stray(args, _PRESET_FLAGS, "--pair FILE")
-        if args.R is None or args.delta is None:
-            raise _UsageError("--pair requires --R and --delta")
-        spec = load_pair_file(args.pair, args.R, args.delta)
-        return build_pair(spec)
-    if args.preset == "custom":
-        raise _UsageError("--preset custom requires --pair FILE")
-    for flag in ("R", "delta"):
-        if getattr(args, flag) is not None:
-            raise _UsageError(f"--{flag} needs --pair FILE: the engineered preset sets its own")
-    return engineered_pair(args.seed or 0, poly_scale=getattr(args, "poly_scale", None) or 0.0)
-
-
-# the zeros/jensen flags that select a pair
-_PAIR_SELECTION = ("pair", "R", "delta", "preset", "seed", "component")
-
-
-def _select_function(args):
-    """Input function for zeros/jensen: kernel file, pair file, or preset.
-    A flag of the source not chosen is a usage error, not ignored."""
-    if args.kernel is not None:
-        _reject_stray(args, _PAIR_SELECTION, "--kernel")
-        jost = JostFn(load_kernel(args.kernel))
-        return boost_ray_decay(jost) if args.boost else jost.as_analytic_fn()
-    if args.boost:
-        raise _UsageError("--boost applies only to --kernel")
-    build = _load_build(args)
-    model = build.psi2 if args.component == 2 else build.psi1
-    return model.as_analytic_fn()
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# inputs and subcommand bodies
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constants(args) -> int:
-    params = _class_params(args)
-    derived = derive_constants(
-        params, args.delta, eps=args.eps, a=args.a, p_override=args.p_override
-    )
-    _emit(json.dumps(derived.to_json_dict(), indent=2), args.out)
+def _kernel_fn(args):
+    """The transform of --kernel FILE, decay-boosted with --boost."""
+    jost = JostFn(load_kernel(args.kernel))
+    return boost_ray_decay(jost) if args.boost else jost.as_analytic_fn()
+
+
+def _pair_file(args) -> PairBuild:
+    return build_pair(load_pair_file(args.pair, args.R, args.delta))
+
+
+def _member(build: PairBuild, args):
+    """The --component of a pair, as zeros and jensen read it."""
+    return (build.psi2 if args.component == 2 else build.psi1).as_analytic_fn()
+
+
+def _emit_json(payload, args) -> int:
+    _emit(json.dumps(payload, indent=2), args.out)
     return EXIT_PASS
 
 
-def _cmd_zeros(args) -> int:
-    fn = _select_function(args)
+def _cmd_constants(args) -> int:
+    derived = derive_constants(_class_params(args), args.delta, eps=args.eps, a=args.a,
+                               p_override=args.p_override)
+    return _emit_json(derived.to_json_dict(), args)
+
+
+def _cmd_zeros(fn, args) -> int:
     zs = locate_zeros(fn, center=args.center, radius=args.radius)
     # rows by modulus to 12 digits, then real and imaginary part, so a last-bit
     # change in a zero does not swap mirror-image rows
@@ -252,133 +226,79 @@ def _cmd_zeros(args) -> int:
     return EXIT_PASS
 
 
-def _cmd_jensen(args) -> int:
-    fn = _select_function(args)
+def _cmd_jensen(fn, args) -> int:
     lhs, rhs = jensen_check(fn, args.radius)
-    payload = {
-        "lhs": format_float(lhs),
-        "rhs": format_float(rhs),
-        "diff": format_float(lhs - rhs),
+    return _emit_json({"lhs": format_float(lhs), "rhs": format_float(rhs),
+                       "diff": format_float(lhs - rhs)}, args)
+
+
+def _jost_eval(fn, args) -> dict:
+    value = complex(np.asarray(fn(args.eval), dtype=complex))
+    if not np.isfinite(value):
+        raise EvaluationError(f"non-finite transform value at z = {args.eval}")
+    return {"z": [format_float(args.eval.real), format_float(args.eval.imag)],
+            "value": [format_float(value.real), format_float(value.imag)]}
+
+
+def _jost_ray_fit(fn, args) -> dict:
+    if args.rmin >= args.rmax:
+        raise _UsageError(f"--rmin {args.rmin:g} must lie below --rmax {args.rmax:g}")
+    fit = ray_decay_fit(fn, angle=args.angle, r_min=args.rmin, r_max=args.rmax)
+    fields = ("C1", "mu", "slope", "angle", "r_min", "r_max")
+    return {name: format_float(getattr(fit, name)) for name in fields} | {
+        "samples": fit.samples, "degenerate": fit.degenerate}
+
+
+def _jost_growth_fit(fn, args) -> dict:
+    fit = growth_fit(fn)
+    return {name: format_float(getattr(fit, name)) for name in ("C0", "sigma", "rho")} | {
+        "degenerate": fit.degenerate,
+        "radii": [format_float(r) for r in fit.radii],
+        "maxima": [format_float(m) for m in fit.maxima],
+        "stopped": {"reason": fit.stopped[0],
+                    "radius": None if fit.stopped[1] is None else format_float(fit.stopped[1])},
     }
-    _emit(json.dumps(payload, indent=2), args.out)
-    return EXIT_PASS
 
 
-def _cmd_jost(args) -> int:
-    jost = JostFn(load_kernel(args.kernel))
-    fn = boost_ray_decay(jost) if args.boost else jost.as_analytic_fn()
-    if args.eval is not None:
-        value = complex(np.asarray(fn(args.eval), dtype=complex))
-        if not np.isfinite(value):
-            raise EvaluationError(f"non-finite transform value at z = {args.eval}")
-        payload = {
-            "z": [format_float(args.eval.real), format_float(args.eval.imag)],
-            "value": [format_float(value.real), format_float(value.imag)],
-        }
-    elif args.ray_fit:
-        if args.rmin >= args.rmax:
-            raise _UsageError(f"--rmin {args.rmin:g} must lie below --rmax {args.rmax:g}")
-        fit = ray_decay_fit(fn, angle=args.angle, r_min=args.rmin, r_max=args.rmax)
-        payload = {
-            "C1": format_float(fit.C1),
-            "mu": format_float(fit.mu),
-            "slope": format_float(fit.slope),
-            "angle": format_float(fit.angle),
-            "r_min": format_float(fit.r_min),
-            "r_max": format_float(fit.r_max),
-            "samples": fit.samples,
-            "degenerate": fit.degenerate,
-        }
-    elif args.growth_fit:
-        fit = growth_fit(fn)
-        payload = {
-            "C0": format_float(fit.C0),
-            "sigma": format_float(fit.sigma),
-            "rho": format_float(fit.rho),
-            "degenerate": fit.degenerate,
-            "radii": [format_float(r) for r in fit.radii],
-            "maxima": [format_float(m) for m in fit.maxima],
-            "stopped": {"reason": fit.stopped[0],
-                        "radius": None if fit.stopped[1] is None else format_float(fit.stopped[1])},
-        }
-    else:
-        raise _UsageError("jost needs one of --eval RE,IM, --ray-fit, --growth-fit")
-    _emit(json.dumps(payload, indent=2), args.out)
-    return EXIT_PASS
+def _lemma2_zeros(args) -> list[VerificationReport]:
+    """Lemma 2 on a standalone outer zero list, in the class of the class flags."""
+    params = _class_params(args)
+    p = args.p_override or select_p(params.rho, params.mu, args.delta)
+    zeros = ZeroSet.from_csv(args.zeros)
+    return [check_lemma2(zeros, args.R, args.a or float(p + 1), p, args.delta, params,
+                         grid=args.grid)]
 
 
-def _verify_lemma2(args) -> list[VerificationReport]:
-    if args.zeros is not None:
-        _reject_stray(args, ("pair",) + _PRESET_FLAGS, "--zeros FILE")
-        params = _class_params(args)
-        if args.R is None:
-            raise _UsageError("verify lemma2 with --zeros requires --R")
-        delta = args.delta if args.delta is not None else 2.0 / 3.0
-        p = args.p_override
-        if p is None:
-            p = select_p(params.rho, params.mu, delta)
-        a = args.a if args.a is not None else float(p + 1)
-        zeros = ZeroSet.from_csv(args.zeros)
-        return [
-            check_lemma2(zeros, args.R, a, p, delta, params, grid=args.grid)
-        ]
-    build = _load_build(args)
+def _lemma2_tails(build: PairBuild, args) -> list[VerificationReport]:
+    """Lemma 2 on each outer zero set of a pair."""
     spec = build.spec
-    a = args.a if args.a is not None else float(build.p + 1)
-    return [
-        check_lemma2(
-            side, spec.R, a, build.p, spec.delta, spec.params, grid=args.grid
-        )
-        for side in (spec.outer_a, spec.outer_b)
-    ]
+    a = args.a or float(build.p + 1)
+    return [check_lemma2(side, spec.R, a, build.p, spec.delta, spec.params, grid=args.grid)
+            for side in (spec.outer_a, spec.outer_b)]
 
 
-def _verify_lemma3(args) -> list[VerificationReport]:
-    if args.coeffs is not None:
-        coeffs = args.coeffs
-    elif args.poly_seed is not None:
-        degree = args.p if args.p is not None else 2
-        rng = np.random.default_rng(args.poly_seed)
-        Ap = constant_Ap(degree, args.mu)
-        try:
-            scales = [args.r ** -(j - 1) for j in range(1, degree + 2)]
-        except OverflowError:
-            raise EvaluationError(f"--r {args.r:g} is too small for --p {degree}: the "
-                                  f"coefficient scale r^-p = {args.r:g}^-{degree} overflows") from None
-        shape = np.array([(rng.normal() + 1j * rng.normal()) * s for s in scales])
-        # rescale so the measured segment envelope lands well inside the
-        # eps*Ap <= 1/4 precondition (linear proxy: |e^g - 1| ~ |g|)
-        ts = np.linspace(args.r, (degree + 1) * args.r, 257)
-        g_vals = np.polyval(shape[::-1], ts.astype(complex))
-        proxy = float(np.max(np.abs(g_vals) * (ts / args.r) ** args.mu))
-        target = 0.25 / Ap * 10.0 ** rng.uniform(-3.0, -0.7)
-        coeffs = tuple(shape * (target / proxy))
-    else:
-        raise _UsageError("verify lemma3 needs --coeffs LIST or --poly-seed N")
-    return [check_lemma3(coeffs, args.r, args.mu, grid=args.grid)]
+def _poly_seed_coeffs(args) -> tuple[complex, ...]:
+    """A polynomial of degree --p drawn from --poly-seed, scaled into lemma 3's preconditions."""
+    degree = args.p
+    rng = np.random.default_rng(args.poly_seed)
+    Ap = constant_Ap(degree, args.mu)
+    try:
+        scales = [args.r ** -(j - 1) for j in range(1, degree + 2)]
+    except OverflowError:
+        raise EvaluationError(f"--r {args.r:g} is too small for --p {degree}: the "
+                              f"coefficient scale r^-p = {args.r:g}^-{degree} overflows") from None
+    shape = np.array([(rng.normal() + 1j * rng.normal()) * s for s in scales])
+    # rescale so the measured segment envelope lands well inside the
+    # eps*Ap <= 1/4 precondition (linear proxy: |e^g - 1| ~ |g|)
+    ts = np.linspace(args.r, (degree + 1) * args.r, 257)
+    g_vals = np.polyval(shape[::-1], ts.astype(complex))
+    proxy = float(np.max(np.abs(g_vals) * (ts / args.r) ** args.mu))
+    target = 0.25 / Ap * 10.0 ** rng.uniform(-3.0, -0.7)
+    return tuple(shape * (target / proxy))
 
 
-def _cmd_verify(args) -> int:
-    kind = args.which
-    if kind in ("lemma2", "step5", "decomposition"):
-        _reject_stray(args, ("eps",), f"verify {kind}")
-    eps = 1.0 if getattr(args, "eps", None) is None else args.eps
-    if kind == "lemma2":
-        reports = _verify_lemma2(args)
-    elif kind == "lemma3":
-        reports = _verify_lemma3(args)
-    else:
-        build = _load_build(args)
-        if kind == "decomposition":
-            reports = [check_decomposition(build, grid=args.grid)]
-        elif kind == "step5":
-            reports = check_step5_bounds(build, grid=args.grid)
-        elif kind == "theorem":
-            reports = check_theorem(build, eps=eps, grid=args.grid)
-        elif kind == "remark5":
-            reports = [check_remark5(build, eps=eps)]
-        else:  # pragma: no cover - argparse restricts choices
-            raise _UsageError(f"unknown verify target {kind!r}")
+def _cmd_verify(reports: list[VerificationReport], args) -> int:
+    """The one verify runner: write the reports, and exit 1 if any fails."""
     for r in reports:
         for name, value in (("bound", r.bound), ("observed", r.observed)):
             if not np.isfinite(value):
@@ -387,157 +307,233 @@ def _cmd_verify(args) -> int:
     _emit(text, args.out)
     if args.plot_data is not None:
         _emit(_plot_data_csv(reports), args.plot_data)
-    if any(r.verdict == FAIL for r in reports):
-        return EXIT_FAIL
-    return EXIT_PASS
+    return EXIT_FAIL if any(r.verdict == FAIL for r in reports) else EXIT_PASS
+
+
+# ---------------------------------------------------------------------------
+# the runs: which flags each one reads and requires
+# ---------------------------------------------------------------------------
+
+
+class _Row(NamedTuple):
+    """One way to run a subcommand.  `select` is the flag that picks the row
+    (None: the subcommand's fallback), `label` names it in usage messages,
+    and `run` maps the completed arguments to an exit code.  A row calls the
+    checks through this module's names, so a wrapper put there sees them."""
+
+    select: str | None
+    label: str
+    reads: tuple[str, ...]
+    requires: tuple[str, ...]
+    run: Callable[[argparse.Namespace], int]
+
+
+_CLASS = ("C0", "C1", "rho", "sigma", "mu", "r0")
+_PAIR_FILE = ("pair", "R", "delta")
+_REPORT = ("threads", "out", "plot_data", "format")  # read by every verify run
+
+# the value of a flag that a run reads and the command line leaves out; any
+# other flag is None.  The class flags' and --delta's are lemma 2's with
+# --zeros FILE, the one run that reads them without requiring them.
+_DEFAULTS = dict(C0=0.5, C1=0.5, rho=1.0, sigma=0.03, mu=1.0, r0=1.0, delta=2.0 / 3.0,
+                 eps=1.0, seed=0, poly_scale=0.0, component=1, boost=False, center=0j,
+                 angle=float(np.pi / 2), rmin=2.0, rmax=400.0, p=2, r=2.0, format="json")
+
+
+def _function_rows(body, reads: tuple[str, ...]) -> list[_Row]:
+    """zeros or jensen on a kernel transform, or on a member of a pair file's
+    pair or of the preset's; `body` maps (function, args) to an exit code."""
+    return [
+        _Row("kernel", "--kernel", ("kernel", "boost") + reads, ("radius",),
+             lambda a: body(_kernel_fn(a), a)),
+        _Row("pair", "--pair FILE", _PAIR_FILE + ("component",) + reads, ("R", "delta", "radius"),
+             lambda a: body(_member(_pair_file(a), a), a)),
+        _Row(None, "the engineered preset", ("preset", "seed", "component") + reads, ("radius",),
+             lambda a: body(_member(engineered_pair(a.seed), a), a)),
+    ]
+
+
+def _jost_row(select: str, label: str, reads: tuple[str, ...], payload) -> _Row:
+    """jost in one mode; `payload` maps (transform, args) to the JSON object."""
+    return _Row(select, label, ("kernel", "boost", select, "out") + reads, ("kernel",),
+                lambda a: _emit_json(payload(_kernel_fn(a), a), a))
+
+
+def _pair_rows(check, reads: tuple[str, ...]) -> list[_Row]:
+    """A pair check on a pair file or on the preset; `check` maps (build, args) to reports."""
+    return [
+        _Row("pair", "--pair FILE", _PAIR_FILE + reads + _REPORT, ("R", "delta"),
+             lambda a: _cmd_verify(check(_pair_file(a), a), a)),
+        _Row(None, "the engineered preset", ("preset", "seed", "poly_scale") + reads + _REPORT, (),
+             lambda a: _cmd_verify(check(engineered_pair(a.seed, poly_scale=a.poly_scale), a), a)),
+    ]
+
+
+# subcommand -> its rows; the first row whose `select` flag is given runs,
+# and a row whose `select` is None runs when no earlier one does
+_RUNS = {
+    "constants": [_Row(None, "constants", _CLASS + ("delta", "eps", "a", "p_override", "out"),
+                       _CLASS + ("delta",), _cmd_constants)],
+    "zeros": _function_rows(_cmd_zeros, ("radius", "center", "out")),
+    "jensen": _function_rows(_cmd_jensen, ("radius", "out")),
+    "jost": [
+        _jost_row("eval", "--eval RE,IM", (), _jost_eval),
+        _jost_row("ray_fit", "--ray-fit", ("angle", "rmin", "rmax"), _jost_ray_fit),
+        _jost_row("growth_fit", "--growth-fit", (), _jost_growth_fit),
+    ],
+    "verify lemma2": [
+        _Row("zeros", "--zeros FILE", ("zeros", "R", "delta", "a", "p_override", "grid")
+             + _CLASS + _REPORT, ("R",), lambda a: _cmd_verify(_lemma2_zeros(a), a)),
+        *_pair_rows(_lemma2_tails, ("a", "grid")),
+    ],
+    "verify lemma3": [
+        _Row("coeffs", "--coeffs LIST", ("coeffs", "r", "mu", "grid") + _REPORT, (),
+             lambda a: _cmd_verify([check_lemma3(a.coeffs, a.r, a.mu, grid=a.grid)], a)),
+        _Row("poly_seed", "--poly-seed N", ("poly_seed", "p", "r", "mu", "grid") + _REPORT, (),
+             lambda a: _cmd_verify([check_lemma3(_poly_seed_coeffs(a), a.r, a.mu, grid=a.grid)], a)),
+    ],
+    "verify decomposition": _pair_rows(
+        lambda build, a: [check_decomposition(build, grid=a.grid)], ("grid",)),
+    "verify step5": _pair_rows(lambda build, a: check_step5_bounds(build, grid=a.grid), ("grid",)),
+    "verify theorem": _pair_rows(
+        lambda build, a: check_theorem(build, eps=a.eps, grid=a.grid), ("grid", "eps")),
+    "verify remark5": _pair_rows(lambda build, a: [check_remark5(build, eps=a.eps)], ("eps",)),
+}
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _select(args) -> _Row:
+    """The row that runs the parsed `args`, under one usage rule: the command
+    line gives every flag the row requires and none that it does not read.
+    The flags it reads that the command line leaves out get their defaults.
+    A flag that no row of the subcommand reads, or that all of them require,
+    is named against the subcommand, any other against the row; a stray
+    flag that other rows read also gets the flags that select those rows."""
+    key = args.command if args.command != "verify" else f"verify {args.which}"
+    given = [flag for flag in vars(args) if flag not in ("command", "which")]
+    rows = _RUNS[key]
+    row = next((r for r in rows if r.select is None or r.select in given), None)
+    if row is None:
+        raise _UsageError(f"{key} needs one of {', '.join(r.label for r in rows)}")
+    stray = next((flag for flag in given if flag not in row.reads), None)
+    if stray is not None:
+        readers = [r for r in rows if stray in r.reads]
+        message = f"{_option(stray)} does not apply to {row.label if readers else key}"
+        selectors = [r.label for r in readers if r.select not in (None, stray)]
+        if selectors:
+            message += f": {_option(stray)} needs {' or '.join(selectors)}"
+        raise _UsageError(message)
+    missing = [flag for flag in row.requires if flag not in given]
+    if missing:
+        where = key if all(missing[0] in r.requires for r in rows) else row.label
+        raise _UsageError(f"{where} requires {', '.join(map(_option, missing))}")
+    namespace = vars(args)
+    for flag in row.reads:
+        if flag not in namespace:
+            namespace[flag] = _DEFAULTS.get(flag)
+    return row
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
 # ---------------------------------------------------------------------------
 
+# every flag's argparse settings, the same in each subcommand that takes it
+_FLAGS = {
+    "C0": dict(type=float, help="growth constant"),
+    "C1": dict(type=float, help="ray decay constant"),
+    "rho": dict(type=float, help="growth order"),
+    "sigma": dict(type=float, help="growth type"),
+    "mu": dict(type=float, help="ray decay exponent"),
+    "r0": dict(type=float, help="ray validity radius"),
+    "delta": dict(type=_parse_delta, help="disk shrink exponent"),
+    "eps": dict(type=_parse_positive, help="target accuracy (default 1)"),
+    "a": dict(type=_parse_positive, help="disk scale (default p+1)"),
+    "p_override": dict(type=_parse_genus, help="force the genus instead of deriving it"),
+    "kernel": dict(help="kernel JSON file"),
+    "pair": dict(help="pair JSON file"),
+    "zeros": dict(help="standalone outer zero CSV"),
+    "R": dict(type=_parse_positive, help="pair coincidence radius"),
+    "preset": dict(choices=("engineered",), help="the default without --pair"),
+    "seed": dict(type=_parse_seed, help="default 0"),
+    "poly_scale": dict(type=_parse_non_negative,
+                       help="inject polynomial exponents g into the preset pair, with |g(z)|*|z|^mu "
+                            "at most this on the ray measurement window (default 0)"),
+    "component": dict(type=int, choices=(1, 2), help="which function of the pair (default 1)"),
+    "boost": dict(action="store_true", help="apply the decay-boost transform to the kernel transform"),
+    "radius": dict(type=_parse_positive),
+    "center": dict(type=_parse_complex, metavar="RE,IM"),
+    "eval": dict(type=_parse_complex, metavar="RE,IM"),
+    "ray_fit": dict(action="store_true"),
+    "growth_fit": dict(action="store_true"),
+    "angle": dict(type=_parse_finite),
+    "rmin": dict(type=_parse_positive),
+    "rmax": dict(type=_parse_positive),
+    "coeffs": dict(type=_parse_coeffs, help="comma-separated complex coefficients, constant first"),
+    "poly_seed": dict(type=_parse_seed, help="draw an admissible polynomial from this seed"),
+    "p": dict(type=_parse_genus, help="degree for --poly-seed"),
+    "r": dict(type=_parse_positive, help="segment base radius"),
+    "grid": dict(type=_parse_grid, metavar="NRxNT", help="rings x boundary samples of the disk grid"),
+    "threads": dict(type=int, help="accepted and ignored; evaluation is single-threaded"),
+    "out": dict(help="write the output here instead of stdout"),
+    "plot_data": dict(help="write check,r,bound,observed CSV here"),
+    "format": dict(choices=("json", "csv")),
+}
+# lemma 3's --mu is a segment's decay exponent, not a class flag
+_SEGMENT_MU = dict(type=_parse_positive, help="segment decay exponent")
 
-def _add_class_flags(parser, defaults=None) -> None:
-    """Class-parameter flags; required when no defaults are supplied."""
-    helps = {
-        "C0": "growth constant", "C1": "ray decay constant", "rho": "growth order",
-        "sigma": "growth type", "mu": "ray decay exponent", "r0": "ray validity radius",
-    }
-    for i, name in enumerate(("C0", "C1", "rho", "sigma", "mu", "r0")):
-        if defaults is None:
-            parser.add_argument(f"--{name}", type=float, required=True, help=helps[name])
-        else:
-            parser.add_argument(f"--{name}", type=float, default=defaults[i], help=helps[name])
+_HELP = {
+    "constants": "derived constants for one parameter set",
+    "zeros": "locate zeros, emitting a re,im,mult CSV",
+    "jensen": "circle-average identity at one radius",
+    "jost": "evaluate or fit a kernel transform",
+    "verify lemma2": "tail-product smallness on the wide disk",
+    "verify lemma3": "segment-to-disk amplification for one polynomial",
+    "verify decomposition": "exact identity between the two ratio representations",
+    "verify step5": "the five chained intermediate bounds",
+    "verify theorem": "final ratio bound, constant and accuracy forms",
+    "verify remark5": "difference bound on the real segment",
+}
+
+# the pair checks take each other's pair-file and preset flags: one that a
+# pair check reads is, in the others, a flag that does not apply rather than
+# an unknown one.  Lemma 2's --zeros FILE flags stay its own.
+_PAIR_CHECKS = tuple(key for key in _RUNS if key.startswith("verify ") and key != "verify lemma3")
 
 
 @functools.cache
 def build_parser() -> _Parser:
     """The parser, built on first use and kept: parse_args returns a fresh
-    Namespace and every type= callable is stateless, so calls share nothing."""
+    Namespace and every type= callable is stateless, so calls share nothing.
+    A subcommand takes the flags its rows read; which of them a run reads
+    and requires, and their defaults, are `_select`'s to settle."""
     parser = _Parser(prog="zeroratio", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # constants ---------------------------------------------------------------
-    pc = sub.add_parser("constants", help="derived constants for one parameter set")
-    _add_class_flags(pc)
-    pc.add_argument("--delta", type=_parse_delta, required=True, help="disk shrink exponent")
-    pc.add_argument("--eps", type=_parse_positive, default=1.0, help="target accuracy")
-    pc.add_argument("--a", type=_parse_positive, default=None, help="disk scale (default p+1)")
-    pc.add_argument("--p-override", dest="p_override", type=_parse_genus, default=None,
-                    help="force the genus instead of deriving it")
-    pc.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    pc.set_defaults(handler=_cmd_constants)
-
-    # shared input-selection flags for zeros/jensen ---------------------------
-    def add_selection(p):
-        p.add_argument("--kernel", default=None, help="kernel JSON file")
-        p.add_argument("--pair", default=None, help="pair JSON file")
-        p.add_argument("--component", type=int, choices=(1, 2), default=None,
-                       help="which function of the pair (default 1)")
-        p.add_argument("--R", type=_parse_positive, default=None, help="pair coincidence radius")
-        p.add_argument("--delta", type=_parse_delta, default=None, help="pair shrink exponent")
-        p.add_argument("--preset", choices=("engineered", "custom"), default=None,
-                       help="default engineered")
-        p.add_argument("--seed", type=_parse_seed, default=None, help="default 0")
-        p.add_argument("--boost", action="store_true",
-                       help="apply the decay-boost transform to a kernel function")
-        p.add_argument("--out", default=None)
-
-    pz = sub.add_parser("zeros", help="locate zeros, emitting a re,im,mult CSV")
-    add_selection(pz)
-    pz.add_argument("--radius", type=_parse_positive, required=True)
-    pz.add_argument("--center", type=_parse_complex, default=0j, metavar="RE,IM")
-    pz.set_defaults(handler=_cmd_zeros)
-
-    pj = sub.add_parser("jensen", help="circle-average identity at one radius")
-    add_selection(pj)
-    pj.add_argument("--radius", type=_parse_positive, required=True)
-    pj.set_defaults(handler=_cmd_jensen)
-
-    # jost --------------------------------------------------------------------
-    pk = sub.add_parser("jost", help="evaluate or fit a kernel transform")
-    pk.add_argument("--kernel", required=True, help="kernel JSON file")
-    pk.add_argument("--eval", type=_parse_complex, default=None, metavar="RE,IM")
-    pk.add_argument("--ray-fit", dest="ray_fit", action="store_true")
-    pk.add_argument("--growth-fit", dest="growth_fit", action="store_true")
-    pk.add_argument("--boost", action="store_true",
-                    help="apply the decay-boost transform first")
-    pk.add_argument("--angle", type=_parse_finite, default=float(np.pi / 2))
-    pk.add_argument("--rmin", type=_parse_positive, default=2.0)
-    pk.add_argument("--rmax", type=_parse_positive, default=400.0)
-    pk.add_argument("--out", default=None)
-    pk.set_defaults(handler=_cmd_jost)
-
-    # verify ------------------------------------------------------------------
-    pair = argparse.ArgumentParser(add_help=False)  # every check but lemma 3
-    pair.add_argument("--R", type=_parse_positive, default=None)
-    pair.add_argument("--delta", type=_parse_delta, default=None)
-    pair.add_argument("--eps", type=_parse_positive, default=None,
-                      help="target accuracy of theorem and remark5 (default 1)")
-    pair.add_argument("--pair", default=None, help="pair JSON file")
-    pair.add_argument("--preset", choices=("engineered", "custom"), default=None,
-                      help="default engineered, without --pair")
-    pair.add_argument("--seed", type=_parse_seed, default=None, help="default 0")
-    pair.add_argument("--poly-scale", dest="poly_scale", type=_parse_non_negative, default=None,
-                      help="inject polynomial exponents g into the preset pair, with "
-                           "|g(z)|*|z|^mu at most this on the ray measurement window "
-                           "(default 0)")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", type=_parse_grid, default=None, metavar="NRxNT",
-                        help="rings x boundary samples of the disk grid")
-    common.add_argument("--threads", type=int, default=None,
-                        help="accepted and ignored; evaluation is single-threaded")
-    common.add_argument("--out", default=None)
-    common.add_argument("--plot-data", dest="plot_data", default=None,
-                        help="write check,r,bound,observed CSV here")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-
-    pv = sub.add_parser("verify", help="run inequality checks")
-    vsub = pv.add_subparsers(dest="which", required=True)
-
-    v2 = vsub.add_parser("lemma2", parents=[pair, common],
-                         help="tail-product smallness on the wide disk")
-    v2.add_argument("--zeros", default=None, help="standalone outer zero CSV")
-    _add_class_flags(v2, defaults=(0.5, 0.5, 1.0, 0.03, 1.0, 1.0))
-    v2.add_argument("--a", type=_parse_positive, default=None, help="disk scale (default p+1)")
-    v2.add_argument("--p-override", dest="p_override", type=_parse_genus, default=None)
-    v2.set_defaults(handler=_cmd_verify)
-
-    v3 = vsub.add_parser("lemma3", parents=[common],
-                         help="segment-to-disk amplification for one polynomial")
-    v3.add_argument("--coeffs", type=_parse_coeffs, default=None,
-                    help="comma-separated complex coefficients, constant first")
-    v3.add_argument("--poly-seed", dest="poly_seed", type=_parse_seed, default=None,
-                    help="draw an admissible polynomial from this seed")
-    v3.add_argument("--p", type=_parse_genus, default=None, help="degree for --poly-seed")
-    v3.add_argument("--r", type=_parse_positive, default=2.0, help="segment base radius")
-    v3.add_argument("--mu", type=_parse_positive, default=1.0, help="segment decay exponent")
-    v3.set_defaults(handler=_cmd_verify)
-
-    for name, blurb in (
-        ("decomposition", "exact identity between the two ratio representations"),
-        ("step5", "the five chained intermediate bounds"),
-        ("theorem", "final ratio bound, constant and accuracy forms"),
-        ("remark5", "difference bound on the real segment"),
-    ):
-        vp = vsub.add_parser(name, parents=[pair, common], help=blurb)
-        vp.set_defaults(handler=_cmd_verify)
-
+    verify = None
+    for key in _RUNS:
+        command, _, which = key.partition(" ")
+        if which and verify is None:
+            verify = sub.add_parser(command, help="run inequality checks").add_subparsers(
+                dest="which", required=True)
+        p = verify.add_parser(which, help=_HELP[key]) if which else sub.add_parser(key, help=_HELP[key])
+        rows = list(_RUNS[key])
+        if key in _PAIR_CHECKS:
+            rows += [row for k in _PAIR_CHECKS for row in _RUNS[k] if row.select in ("pair", None)]
+        for flag in dict.fromkeys(f for row in rows for f in row.reads):
+            spec = _SEGMENT_MU if (key, flag) == ("verify lemma3", "mu") else _FLAGS[flag]
+            p.add_argument(_option(flag), **spec)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return _select(args).run(args)
     except SystemExit as exc:  # --help paths
-        code = exc.code
-        return int(code) if code else 0
-    try:
-        return args.handler(args)
+        return int(exc.code) if exc.code else 0
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -36,7 +36,8 @@ class DiskGrid:
     def ring_radii(self, radius: float) -> np.ndarray:
         if not radius > 0:
             raise ParameterError("radius must be positive")
-        return radius * np.arange(1, self.rings + 1) / self.rings
+        # the fraction first, so the outer ring's is exactly 1 and that ring is the circle, bitwise
+        return np.arange(1, self.rings + 1) / self.rings * radius
 
     def points(self, radius: float) -> np.ndarray:
         """The lattice scaled to B(0, radius), ring-major, outer ring last."""

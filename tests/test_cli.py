@@ -113,7 +113,7 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["constants", "--C0", "-1", "--sigma", "1"] + _CLASS, "C0"),
     (["constants", "--C0", "2", "--sigma", "0"] + _CLASS, "sigma"),
     (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "1.5"], "delta"),
-    (["zeros", "--preset", "custom", "--radius", "10"], "--preset custom requires --pair"),
+    (["zeros", "--preset", "custom", "--radius", "10"], "argument --preset: invalid choice: 'custom'"),
     (["verify", "theorem", "--pair", "{pair}", "--R", "-5", "--delta", "0.6"], "argument --R"),
     (["constants", "--C0", "2", "--sigma", "1", "--eps", "-1"] + _CLASS, "argument --eps"),
     (["verify", "theorem", "--eps", "-1"], "argument --eps"),
@@ -157,7 +157,7 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
      "--preset does not apply to --kernel"),
     (["zeros", "--kernel", "{kernel}", "--radius", "4", "--component", "1"],
      "--component does not apply to --kernel"),
-    (["zeros", "--radius", "4", "--boost"], "--boost applies only to --kernel"),
+    (["zeros", "--radius", "4", "--boost"], "--boost needs --kernel"),
     (["verify", "step5", "--eps", "7"], "--eps does not apply to verify step5"),
     (["verify", "decomposition", "--eps", "7"], "--eps does not apply to verify decomposition"),
     (["verify", "lemma2", "--eps", "7"], "--eps does not apply to verify lemma2"),
@@ -167,12 +167,27 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
      "--seed does not apply to --pair FILE"),
     (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "0.6", "--poly-scale", "1e-3"],
      "--poly-scale does not apply to --pair FILE"),
-    (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "0.6", "--preset", "custom"],
+    (["verify", "theorem", "--pair", "{pair}", "--R", "400", "--delta", "0.6", "--preset", "engineered"],
      "--preset does not apply to --pair FILE"),
     (["zeros", "--pair", "{pair}", "--R", "400", "--delta", "0.6", "--radius", "4", "--seed", "0"],
      "--seed does not apply to --pair FILE"),
     (["verify", "lemma2", "--zeros", "{pair}", "--R", "10", "--pair", "{pair}"],
      "--pair does not apply to --zeros FILE"),
+    (["verify", "lemma2", "--preset", "engineered", "--seed", "0", "--C0", "7"],
+     "--C0 does not apply to the engineered preset"),
+    (["verify", "lemma2", "--preset", "engineered", "--seed", "0", "--p-override", "5"],
+     "--p-override does not apply to the engineered preset"),
+    (["verify", "lemma2", "--preset", "engineered", "--seed", "0", "--sigma", "9", "--rho", "3"],
+     "--sigma does not apply to the engineered preset"),
+    (["verify", "remark5", "--grid", "4x16"], "--grid does not apply to verify remark5"),
+    (["verify", "lemma3", "--coeffs", "1e-4,2e-5", "--p", "5"], "--p does not apply to --coeffs LIST"),
+    (["verify", "lemma3", "--coeffs", "1e-4,2e-5", "--poly-seed", "3"],
+     "--poly-seed does not apply to --coeffs LIST"),
+    (["jost", "--kernel", "{kernel}", "--eval", "1,1", "--angle", "2", "--rmin", "3"],
+     "--angle does not apply to --eval RE,IM"),
+    (["jost", "--kernel", "{kernel}", "--eval", "1,1", "--growth-fit"],
+     "--growth-fit does not apply to --eval RE,IM"),
+    (["jost", "--kernel", "{kernel}", "--growth-fit", "--rmax", "9"], "--rmax does not apply to --growth-fit"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
@@ -533,37 +548,54 @@ def _fuzz_inputs(tmp_path):
     return {k: str(v) for k, v in good.items()}, [str(p) for p in bad]
 
 
-# flags that lemma 3, zeros/jensen with --kernel, a pair file and lemma 2's
-# zero file read nowhere
+# flags that lemma 3, lemma 3 with --coeffs, zeros/jensen with --kernel, a
+# pair file, lemma 2's zero file and lemma 2 on a pair read nowhere
 _LEMMA3_STRAY = ("--pair", "--preset", "--seed", "--poly-scale", "--R", "--delta", "--eps")
+_COEFFS_STRAY = ("--p", "--poly-seed")
 _KERNEL_STRAY = ("--pair", "--R", "--delta", "--seed", "--preset", "--component")
 _PAIR_STRAY = ("--preset", "--seed", "--poly-scale")
 _ZEROS_STRAY = ("--pair",) + _PAIR_STRAY
+_LEMMA2_PAIR_STRAY = ("--C0", "--C1", "--rho", "--sigma", "--mu", "--r0", "--p-override")
+# the flags each jost mode reads nowhere; --eval wins over --ray-fit, which wins over --growth-fit
+_JOST_STRAY = {"--eval": ("--angle", "--rmin", "--rmax", "--ray-fit", "--growth-fit"),
+               "--ray-fit": ("--growth-fit",),
+               "--growth-fit": ("--angle", "--rmin", "--rmax")}
 # the verify checks that read no --eps
 _NO_EPS = ("lemma2", "step5", "decomposition")
 _STRAY_VALUES = {"--R": "5", "--delta": "0.3", "--seed": "0", "--preset": "engineered",
-                 "--component": "1", "--poly-scale": "0", "--eps": "1"}
+                 "--component": "1", "--poly-scale": "0", "--eps": "1", "--p": "5",
+                 "--poly-seed": "3", "--C0": "7", "--C1": "1", "--rho": "3", "--sigma": "9",
+                 "--mu": "1", "--r0": "1", "--p-override": "5", "--grid": "4x16",
+                 "--angle": "2", "--rmin": "3", "--rmax": "9", "--ray-fit": None,
+                 "--growth-fit": None}
 
 
 def _stray(rng, flags, good):
     flag = rng.choice(flags)
-    return [flag, good["pair"] if flag == "--pair" else _STRAY_VALUES[flag]]
+    value = good["pair"] if flag == "--pair" else _STRAY_VALUES[flag]
+    return [flag] if value is None else [flag, value]
 
 
 def _stray_flag(argv):
-    """The first flag of argv that its subcommand reads nowhere, or None."""
+    """The first flag of argv that the run it selects reads nowhere, or None."""
     if argv[:2] == ["verify", "lemma3"]:
-        flags = _LEMMA3_STRAY
+        flags = _LEMMA3_STRAY + (_COEFFS_STRAY if "--coeffs" in argv else ())
     elif argv[0] in ("zeros", "jensen") and "--kernel" in argv:
         flags = _KERNEL_STRAY
+    elif argv[0] == "jost":
+        flags = next((_JOST_STRAY[mode] for mode in _JOST_STRAY if mode in argv), ())
     elif "--zeros" in argv:
         flags = _ZEROS_STRAY
     elif "--pair" in argv:
         flags = _PAIR_STRAY
     else:
         flags = ()
+    if argv[:2] == ["verify", "lemma2"] and "--zeros" not in argv:
+        flags += _LEMMA2_PAIR_STRAY
     if argv[0] == "verify" and argv[1] in _NO_EPS:
         flags += ("--eps",)
+    if argv[:2] == ["verify", "remark5"]:
+        flags += ("--grid",)
     return next((a for a in argv if a in flags), None)
 
 
@@ -613,14 +645,20 @@ def _fuzz_argv(rng, good, bad, out_dir):
             argv += ["--ray-fit", "--angle", val("1.5", "2"), "--rmin", val("2"), "--rmax", val("40")]
         elif mode:
             argv.append(mode)
+        if mode and rng.random() < 0.3:
+            argv += _stray(rng, _JOST_STRAY[mode], good)
         if rng.random() < 0.3:
             argv.append("--boost")
     else:
         which = rng.choice(["lemma2", "lemma3", "decomposition", "step5", "theorem", "remark5"])
         argv = ["verify", which, "--grid", val("8x32", "6x16")]
+        if which == "remark5" and rng.random() < 0.8:
+            argv = argv[:2]  # remark 5 reads no grid
         if which == "lemma3":
             if rng.random() < 0.5:
                 argv += ["--coeffs", val("0,1e-6", "1e-4,-2e-5,(1e-6+2e-7j)")]
+                if rng.random() < 0.2:
+                    argv += _stray(rng, _COEFFS_STRAY, good)
             else:
                 argv += ["--poly-seed", val("1", "11"), "--p", val("2", "3")]
             argv += ["--r", val("2", "5"), "--mu", val("1", "2")]
@@ -638,6 +676,8 @@ def _fuzz_argv(rng, good, bad, out_dir):
             argv += ["--seed", val("0", "3", "12"), "--poly-scale", val("1.5e-05", "0")]
             if rng.random() < 0.2:
                 argv += [rng.choice(["--R", "--delta"]), val("300", "0.9")]
+        if which == "lemma2" and "--zeros" not in argv and rng.random() < 0.2:
+            argv += _stray(rng, _LEMMA2_PAIR_STRAY, good)
         if which != "lemma3" and rng.random() < 0.3:
             argv += ["--eps", val("1", "0.5")]
         if rng.random() < 0.2:

@@ -56,6 +56,19 @@ def test_default_disk_grid_is_deterministic():
     assert np.max(np.abs(a.points(5.0))) <= 5.0 + 1e-12
 
 
+def test_outer_ring_is_the_disk_circle_bitwise():
+    """For 200 radii drawn from [1, 100] at each ring count 1-48, the outer
+    ring's radius is the disk's and its points are the even points of the
+    fine circle at twice the spokes, so the last profile row names the
+    circle that the sups sample."""
+    rng = np.random.default_rng(0)
+    for rings in range(1, 49):
+        grid = DiskGrid(rings, 16)
+        for radius in rng.uniform(1.0, 100.0, 200):
+            assert grid.ring_radii(radius)[-1] == radius
+            assert np.array_equal(grid.points(radius)[-16:], DiskGrid(1, 32).points(radius)[::2])
+
+
 def _boundary_circle(radius, count):
     return radius * np.exp(1j * (2.0 * np.pi * np.arange(count) / count))
 
