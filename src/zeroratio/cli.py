@@ -137,17 +137,6 @@ def _reports_csv(reports: list[VerificationReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plot_data_csv(reports: list[VerificationReport]) -> str:
-    lines = ["check,r,bound,observed"]
-    for r in reports:
-        for row in r.details.get("profile", ()):
-            radius, bound, observed = row
-            lines.append(
-                f"{r.check},{format_float(radius)},{format_float(bound)},{format_float(observed)}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def _number_range(cast, low: float, high: float, low_inclusive: bool = False):
     """argparse type for a cast(text) in (low, high), or in [low, high) when low_inclusive."""
 
@@ -305,8 +294,6 @@ def _cmd_verify(reports: list[VerificationReport], args) -> int:
                 raise EvaluationError(f"{r.check}: {name} is {format_float(value)}")
     text = reports_to_json(reports) if args.format == "json" else _reports_csv(reports)
     _emit(text, args.out)
-    if args.plot_data is not None:
-        _emit(_plot_data_csv(reports), args.plot_data)
     return EXIT_FAIL if any(r.verdict == FAIL for r in reports) else EXIT_PASS
 
 
@@ -330,7 +317,7 @@ class _Row(NamedTuple):
 
 _CLASS = ("C0", "C1", "rho", "sigma", "mu", "r0")
 _PAIR_FILE = ("pair", "R", "delta")
-_REPORT = ("threads", "out", "plot_data", "format")  # read by every verify run
+_REPORT = ("threads", "out", "format")  # read by every verify run
 
 # the value of a flag that a run reads and the command line leaves out; any
 # other flag is None.  The class flags' and --delta's are lemma 2's with
@@ -476,10 +463,9 @@ _FLAGS = {
     "poly_seed": dict(type=_parse_seed, help="draw an admissible polynomial from this seed"),
     "p": dict(type=_parse_genus, help="degree for --poly-seed"),
     "r": dict(type=_parse_positive, help="segment base radius"),
-    "grid": dict(type=_parse_grid, metavar="NRxNT", help="rings x boundary samples of the disk grid"),
+    "grid": dict(type=_parse_grid, metavar="NRxNT", help="rings x spokes of the disk grid; disk sups read the spokes only"),
     "threads": dict(type=int, help="accepted and ignored; evaluation is single-threaded"),
     "out": dict(help="write the output here instead of stdout"),
-    "plot_data": dict(help="write check,r,bound,observed CSV here"),
     "format": dict(choices=("json", "csv")),
 }
 # lemma 3's --mu is a segment's decay exponent, not a class flag

@@ -2,10 +2,10 @@
 
 Every disk supremum the verifier checks is of a function holomorphic on the
 closed disk, so by the maximum modulus principle it is attained on the
-boundary circle.  A disk grid is a polar lattice whose outer ring lies on that
-circle; its inner rings serve the per-ring profile and the identity check,
-which evaluates its models there and reaches them from the circle by
-Cauchy's formula for its tail reference.
+boundary circle, and a disk sup reads only the grid's spokes.  A disk grid is
+a polar lattice whose outer ring lies on that circle; its inner rings serve
+only the identity check, which evaluates its models there and reaches them
+from the circle by Cauchy's formula for its tail reference.
 """
 
 from __future__ import annotations

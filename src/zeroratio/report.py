@@ -87,8 +87,8 @@ class VerificationReport:
 
     `observed` is a sampled supremum (or discrepancy maximum), `bound` the
     explicit constant it must stay below, `samples` how many evaluation points
-    contributed.  `details` carries check-specific extras such as grid shape,
-    refinement stability, or per-radius profiles; it is serialized verbatim.
+    contributed.  `details` carries check-specific extras such as the disk
+    radius or the coarse and refined sups; it is serialized verbatim.
     """
 
     check: str

@@ -8,25 +8,28 @@ precondition actually held.
 Every sampled sup is a `_Sup`: a coarse and a fine maximum from one batch of
 points, the fine samples being the coarse ones plus their midpoints.  Its
 `report` method builds the check's report: `observed` is the fine maximum,
-`details` ends with `sup_base`, `sup_refined` (and, for a disk, the per-ring
-`profile`), and the last precondition, "grid sup converged", asks the two
-maxima to agree within 1%.  A disk sup lies on the boundary circle (maximum
-modulus principle): its coarse samples are the grid's polar lattice, its fine
-ones the circle at 2N points, whose even points are the lattice's outer ring.
+`details` ends with `sup_base` and `sup_refined`, and the last precondition,
+"grid sup converged", asks the two maxima to agree within 1%.  A disk sup is
+of a function holomorphic on the closed disk, so it lies on the boundary
+circle (maximum modulus principle): its fine samples are the circle at 2N
+points, N the grid's spokes, and its coarse ones the even points, which are
+the polar lattice's outer ring.  Only the decomposition identity samples the
+lattice's inner rings.
 
 Every pair check but one reads psi2 through psi1: psi2/psi1 = e^L with
 L = (g2 - g1) + log(Pi2/Pi1) (`PairBuild.log_ratio`), a sum over the signed
 outer zeros alone, so nothing is divided or masked.  The theorem and step 5's
-ray read |e^L - 1|, step 5's psi2 envelope reads psi1*e^L and remark 5 reads
-|psi2 - psi1| = |psi1| |e^L - 1|.  Only the decomposition identity evaluates
-psi2 on its own, divides it by psi1 and sums its tails factor by factor, on
-the boundary circle, as an independent reference.
+ray read |e^L - 1| and remark 5 reads |psi2 - psi1| = |psi1| |e^L - 1|; the
+ray envelopes of the theorem and step 5 are the ones build_pair measured.
+Only the decomposition identity evaluates psi2 on its own, divides it by
+psi1 and sums its tails factor by factor, on the boundary circle, as an
+independent reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,13 +66,11 @@ def default_disk_grid(rings: int = 8, spokes: int = 256) -> DiskGrid:
 
 @dataclass(frozen=True)
 class _Sup:
-    """A sampled sup: the coarse and fine maxima, the points evaluated, and
-    for a disk the (ring radius, ring maximum) pairs of the coarse lattice."""
+    """A sampled sup: the coarse and fine maxima and the points evaluated."""
 
     base: float
     fine: float
     samples: int
-    rings: tuple = ()
 
     @classmethod
     def of(cls, values: np.ndarray, coarse: np.ndarray) -> "_Sup":
@@ -80,13 +81,10 @@ class _Sup:
     def report(self, check: str, bound: float, preconditions: list[Precondition],
                details: dict) -> VerificationReport:
         """The check's report: `observed` is the fine sup, `details` end with
-        both sups and a disk's profile, and the last precondition asks the
-        two sups to agree within 1%."""
+        both sups, and the last precondition asks the two sups to agree
+        within 1%."""
         scale = max(abs(self.fine), abs(self.base))
         change = abs(self.fine - self.base) / scale if scale > 0.0 else 0.0
-        extra = {"sup_base": self.base, "sup_refined": self.fine}
-        if self.rings:
-            extra["profile"] = [(r, bound, v) for r, v in self.rings]
         converged = precondition("grid sup converged", change <= _REFINE_TOL, _REFINE_TOL, change)
         return VerificationReport(
             check=check,
@@ -94,35 +92,20 @@ class _Sup:
             observed=self.fine,
             samples=self.samples,
             preconditions=[*preconditions, converged],
-            details={**details, **extra},
+            details={**details, "sup_base": self.base, "sup_refined": self.fine},
         )
 
 
-def _disk_sups(evaluate: Callable[[np.ndarray], np.ndarray], radius: float,
-               grid: DiskGrid | None) -> list[_Sup]:
-    """Sampled sups over B(0, radius) of magnitudes of holomorphic functions.
-
-    `evaluate` maps points to magnitudes, one per point or one row of several
-    per point, and gives one sup per column.  It is called once, on the inner
-    rings of the grid's polar lattice followed by the boundary circle at twice
-    the grid's spokes.  The base maximum is the lattice's, whose outer ring is
-    the circle's even points; the fine maximum is the circle's, since by the
-    maximum modulus principle no interior point can exceed it.
-    """
-    grid = grid or default_disk_grid()
-    inner = (grid.rings - 1) * grid.spokes
-    pts = np.concatenate([grid.points(radius)[:inner],
-                          DiskGrid(1, 2 * grid.spokes).points(radius)])
-    vals = np.asarray(evaluate(pts)).reshape(len(pts), -1)
-    base = np.concatenate([vals[:inner], vals[inner::2]])
-    ring_max = base.reshape(grid.rings, grid.spokes, -1).max(axis=1)
-    radii = grid.ring_radii(radius).tolist()
-    return [
-        _Sup(b, f, len(vals), tuple(zip(radii, column)))
-        for b, f, column in zip(np.max(base, axis=0, initial=0.0).tolist(),
-                                np.max(vals[inner:], axis=0, initial=0.0).tolist(),
-                                ring_max.T.tolist())
-    ]
+def _circle(radius: float, grid: DiskGrid | None) -> tuple[np.ndarray, np.ndarray]:
+    """The 2N fine samples of the circle |z| = radius, N the grid's spokes,
+    and a mask of the N coarse ones among them, the even points.  These are
+    the outer ring of the grid's polar lattice, bitwise, and by the maximum
+    modulus principle no point inside the circle can exceed its sup."""
+    spokes = (grid or default_disk_grid()).spokes
+    fine = DiskGrid(1, 2 * spokes).points(radius)
+    coarse = np.zeros(len(fine), dtype=bool)
+    coarse[::2] = True
+    return fine, coarse
 
 
 def _segment(start: complex, end: complex, n: int,
@@ -142,9 +125,12 @@ def _compliance_precondition(name: str, comp: CountCompliance) -> Precondition:
     return precondition(name, comp.ok, comp.worst_bound, float(comp.worst_count))
 
 
-def _envelope_preconditions(C1: float, env1: float, env2: float) -> list[Precondition]:
+def _envelope_preconditions(build: PairBuild) -> list[Precondition]:
+    """The ray envelopes of psi1 and psi2 against C1, as measured by build_pair."""
+    C1 = build.spec.params.C1
     return [precondition(f"measured ray envelope {name} <= C1", env <= C1, C1, env)
-            for name, env in (("psi1", env1), ("psi2", env2))]
+            for name, env in (("psi1", build.measured.envelope_C1_a),
+                              ("psi2", build.measured.envelope_C1_b))]
 
 
 def _pair_compliance(build: PairBuild) -> list[Precondition]:
@@ -185,14 +171,10 @@ def check_lemma2(
             f"tail zero at modulus {zeros.min_modulus():.6g} lies inside R = {R:.6g}"
         )
     radius = a * R ** (1.0 - delta)
-    tail = TailProductSpec(zeros=zeros, genus=p, cutoff=R)
-    model = EntireModel(genus=p, zeros=zeros)
-
-    def magnitude(pts):
-        tail.require_guard(pts)  # the tail bound holds only on the guard disk
-        return np.abs(cexpm1(model.log_value(pts)))
-
-    (sup,) = _disk_sups(magnitude, radius, grid)
+    pts, coarse = _circle(radius, grid)
+    # the tail bound holds only on the guard disk
+    TailProductSpec(zeros=zeros, genus=p, cutoff=R).require_guard(pts)
+    sup = _Sup.of(np.abs(cexpm1(EntireModel(genus=p, zeros=zeros).log_value(pts))), coarse)
     C2 = constant_C2(p, params.sigma, params.rho)
     r2 = threshold_r2(a, p, delta, params)
     return sup.report(
@@ -253,7 +235,8 @@ def check_lemma3(
     C1_meas = float(np.max(seg_h * radii**mu))
     eps = C1_meas * r**-mu
 
-    (sup,) = _disk_sups(magnitude, r, grid)
+    pts, coarse = _circle(r, grid)
+    sup = _Sup.of(magnitude(pts), coarse)
 
     # exact Cramer reconstruction from the node samples g(kr)
     table = vandermonde_cofactors(p)
@@ -407,6 +390,8 @@ def check_step5_bounds(
 
     The exponent-difference disk is B(0, R^(1-delta)), the disk on which the
     segment-to-disk amplification with base radius R^(1-delta) concludes.
+    The ray envelope preconditions are the ones build_pair measured, the
+    same the theorem reads.
     """
     spec = build.spec
     params = spec.params
@@ -422,13 +407,9 @@ def check_step5_bounds(
     # -- ray segment: the fine radii are the coarse ones plus their midpoints --
     fine, coarse = _segment(base_r, (p + 1) * base_r, segment_samples,
                             include=base_r * np.arange(1, p + 2, dtype=float))
-    radii = np.real(fine)
-    z_ray = radii * np.exp(1j * spec.ray_angle)
-    v1, lam = build.psi1.evaluate(z_ray), build.log_ratio(z_ray)
-    # the smallest C1 making |psi - 1| <= C1 r^(-mu) hold at the fine radii, psi2 = psi1*e^L
-    env_pre = _envelope_preconditions(params.C1, *(
-        float(np.max(np.abs(v - 1.0) * radii**params.mu, initial=0.0)) for v in (v1, v1 * np.exp(lam))))
-    report_b = _Sup.of(np.abs(cexpm1(lam)), coarse).report(
+    z_ray = np.real(fine) * np.exp(1j * spec.ray_angle)
+    env_pre = _envelope_preconditions(build)
+    report_b = _Sup.of(np.abs(cexpm1(build.log_ratio(z_ray))), coarse).report(
         "ray-ratio-smallness",
         (2.0 + 3.0 * eta) * eta,
         [
@@ -439,15 +420,14 @@ def check_step5_bounds(
     )
 
     # -- tail-product ratio on the wide disk ----------------------------------
-    def ratio_mag_dev(pts):
-        # the tail bounds hold only on the guard disk of either tail
-        build.tail_spec_a().require_guard(pts)
-        build.tail_spec_b().require_guard(pts)
-        # one evaluation of log(Pi1/Pi2) gives both |Pi1/Pi2| and |Pi1/Pi2 - 1|
-        log_ratio = -build.log_tail_ratio(pts)
-        return np.stack([np.abs(np.exp(log_ratio)), np.abs(cexpm1(log_ratio))], axis=1)
-
-    mag, dev = _disk_sups(ratio_mag_dev, a * base_r, grid)
+    pts, coarse = _circle(a * base_r, grid)
+    # the tail bounds hold only on the guard disk of either tail
+    build.tail_spec_a().require_guard(pts)
+    build.tail_spec_b().require_guard(pts)
+    # one evaluation of log(Pi1/Pi2) gives both |Pi1/Pi2| and |Pi1/Pi2 - 1|
+    log_ratio = -build.log_tail_ratio(pts)
+    mag = _Sup.of(np.abs(np.exp(log_ratio)), coarse)
+    dev = _Sup.of(np.abs(cexpm1(log_ratio)), coarse)
     shared_pre = [
         precondition("R >= r2", R >= stage.r2, stage.r2, R),
         precondition("eta2 <= 1/3", eta2 <= 1.0 / 3.0, 1.0 / 3.0, eta2),
@@ -467,11 +447,8 @@ def check_step5_bounds(
     )
 
     # -- exponent difference on the small disk --------------------------------
-    def delta_mag(pts):
-        return np.abs(cexpm1(_poly_delta(build, pts)))
-
-    (d_sup,) = _disk_sups(delta_mag, base_r, grid)
-    report_d = d_sup.report(
+    pts, coarse = _circle(base_r, grid)
+    report_d = _Sup.of(np.abs(cexpm1(_poly_delta(build, pts))), coarse).report(
         "exponent-difference",
         18.0 * Ap * eta,
         [
@@ -510,11 +487,8 @@ def check_theorem(
     derived = derive_constants(params, delta, eps=eps, p_override=build.p)
     radius = R ** (1.0 - delta)
 
-    def magnitude(pts):
-        return np.abs(cexpm1(build.log_ratio(pts)))
-
-    (sup,) = _disk_sups(magnitude, radius, grid)
-    meas = build.measured
+    pts, coarse = _circle(radius, grid)
+    sup = _Sup.of(np.abs(cexpm1(build.log_ratio(pts))), coarse)
     details = dict(R=R, delta=delta, p=build.p, Ap=derived.main.Ap,
                    exponent=derived.exponent, disk_radius=radius)
     report_const = sup.report(
@@ -522,7 +496,7 @@ def check_theorem(
         derived.ratio_bound(R),
         [precondition("R >= max(r1..r5)", R >= derived.main.max_radius,
                       derived.main.max_radius, R)]
-        + _envelope_preconditions(params.C1, meas.envelope_C1_a, meas.envelope_C1_b)
+        + _envelope_preconditions(build)
         + _pair_compliance(build),
         details,
     )

@@ -188,6 +188,8 @@ _CLASS = ["--C1", "1", "--rho", "1", "--mu", "1", "--r0", "1", "--delta", "0.666
     (["jost", "--kernel", "{kernel}", "--eval", "1,1", "--growth-fit"],
      "--growth-fit does not apply to --eval RE,IM"),
     (["jost", "--kernel", "{kernel}", "--growth-fit", "--rmax", "9"], "--rmax does not apply to --growth-fit"),
+    (["verify", "theorem", "--preset", "engineered", "--seed", "0", "--plot-data", "p.csv"],
+     "unrecognized arguments: --plot-data"),
 ])
 def test_bad_flag_value_exits_64(argv, flag, tmp_path, capsys):
     pair = tmp_path / "pair.json"
@@ -397,33 +399,21 @@ def test_verify_lemma3_poly_seed(tmp_path):
     assert all(p["satisfied"] for p in report["preconditions"])
 
 
-def test_plot_data_profile_csv(tmp_path):
-    plot = tmp_path / "profile.csv"
-    rc = run(["verify", "lemma3", "--coeffs", "0,1e-6", "--r", "5",
-              "--grid", "12x32", "--out", str(tmp_path / "r.json"),
-              "--plot-data", str(plot)])
-    assert rc == 0
-    lines = plot.read_text().splitlines()
-    assert lines[0] == "check,r,bound,observed"
-    assert len(lines) > 4
-    row = lines[1].split(",")
-    assert row[0] == "segment-to-disk-amplification"
-    assert float(row[2]) >= float(row[3])
-
-
-def test_plot_data_names_the_check_of_every_row(tmp_path):
-    """The theorem's two forms share their radii; the check column tells them apart."""
-    plot = tmp_path / "profile.csv"
-    rc = run(["verify", "theorem", "--seed", "0", "--grid", "6x40", "--out", str(tmp_path / "r.json"),
-              "--plot-data", str(plot)])
-    assert rc == 0
-    reports = json.loads((tmp_path / "r.json").read_text())
-    rows = [line.split(",") for line in plot.read_text().splitlines()[1:]]
-    expected = [(r["check"], radius, bound, observed)
-                for r in reports for radius, bound, observed in r["details"].get("profile", ())]
-    assert [(c, float(x), float(b), float(o)) for c, x, b, o in rows] == \
-        [(c, float(x), float(b), float(o)) for c, x, b, o in expected]
-    assert {c for c, *_ in rows} == {"ratio-bound-constant-form", "ratio-bound-accuracy-form"}
+@pytest.mark.parametrize("argv", [
+    ["verify", "theorem", "--preset", "engineered", "--seed", "1", "--poly-scale", "1.5e-05"],
+    ["verify", "step5", "--preset", "engineered", "--seed", "1", "--poly-scale", "1.5e-05"],
+    ["verify", "lemma2", "--preset", "engineered", "--seed", "2"],
+    ["verify", "lemma3", "--poly-seed", "5"],
+], ids=lambda argv: argv[1])
+def test_disk_sups_read_only_the_spokes(argv, capsys):
+    """A disk sup samples only the boundary circle, so the ring count of
+    --grid changes no byte of the output."""
+    outputs = []
+    for grid in ("1x64", "8x64"):
+        assert run(argv + ["--grid", grid]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert '"samples"' in outputs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from zeroratio.models import (
     PairSpec,
     build_pair,
     compliant_tail_zeros,
+    measurement_window,
     _spread_radii,
     engineered_pair,
 )
@@ -28,6 +29,7 @@ from zeroratio.verifier import (
     check_step5_bounds,
     check_theorem,
     default_disk_grid,
+    _circle,
     _lattice_log_tail_ratio,
     _segment,
 )
@@ -59,14 +61,16 @@ def test_default_disk_grid_is_deterministic():
 def test_outer_ring_is_the_disk_circle_bitwise():
     """For 200 radii drawn from [1, 100] at each ring count 1-48, the outer
     ring's radius is the disk's and its points are the even points of the
-    fine circle at twice the spokes, so the last profile row names the
-    circle that the sups sample."""
+    circle that the disk sups sample, at twice the spokes: the coarse sup of
+    a disk is the lattice's outer-ring maximum."""
     rng = np.random.default_rng(0)
     for rings in range(1, 49):
         grid = DiskGrid(rings, 16)
         for radius in rng.uniform(1.0, 100.0, 200):
             assert grid.ring_radii(radius)[-1] == radius
-            assert np.array_equal(grid.points(radius)[-16:], DiskGrid(1, 32).points(radius)[::2])
+            fine, coarse = _circle(radius, grid)
+            assert len(fine) == 32 and np.array_equal(np.flatnonzero(coarse), np.arange(0, 32, 2))
+            assert np.array_equal(grid.points(radius)[-16:], fine[coarse])
 
 
 def _boundary_circle(radius, count):
@@ -75,10 +79,11 @@ def _boundary_circle(radius, count):
 
 def test_disk_sups_are_boundary_circle_maxima():
     """observed is the maximum over the 2N-point boundary circle, bitwise,
-    and the samples are the inner rings of the lattice plus that circle.
-    The theorem reads |psi2/psi1 - 1| as |e^L - 1|, L = (g2 - g1) + log(Pi2/Pi1)."""
+    sup_base the maximum over its even points, and the samples are that
+    circle alone.  The theorem reads |psi2/psi1 - 1| as |e^L - 1|,
+    L = (g2 - g1) + log(Pi2/Pi1)."""
     grid = DiskGrid(rings=6, spokes=40)
-    expected_samples = (grid.rings + 1) * grid.spokes
+    expected_samples = 2 * grid.spokes
     build = engineered_pair(3, poly_scale=1.5e-05)
     spec, p = build.spec, build.p
 
@@ -86,14 +91,18 @@ def test_disk_sups_are_boundary_circle_maxima():
     rep = check_lemma2(spec.outer_a, spec.R, float(p + 1), p, spec.delta, spec.params, grid=grid)
     circle = _boundary_circle(radius, 2 * grid.spokes)
     tail = EntireModel(genus=p, zeros=spec.outer_a)
-    assert rep.observed == np.max(np.abs(cexpm1(tail.log_value(circle))))
+    values = np.abs(cexpm1(tail.log_value(circle)))
+    assert rep.observed == np.max(values)
+    assert rep.details["sup_base"] == np.max(values[::2])
     assert rep.samples == expected_samples
 
     circle = _boundary_circle(spec.R ** (1.0 - spec.delta), 2 * grid.spokes)
     g = build.psi2.poly_value(circle) - build.psi1.poly_value(circle)
     assert np.max(np.abs(g)) > 0.0
+    values = np.abs(cexpm1(g + build.log_tail_ratio(circle)))
     for rep in check_theorem(build, grid=grid):
-        assert rep.observed == np.max(np.abs(cexpm1(g + build.log_tail_ratio(circle))))
+        assert rep.observed == np.max(values)
+        assert rep.details["sup_base"] == np.max(values[::2])
         assert rep.samples == expected_samples
 
 
@@ -112,14 +121,14 @@ def evaluated(monkeypatch):
 
 
 def test_each_sample_is_evaluated_once(evaluated):
-    """A disk sup costs (NR+1)*NT points, the ray of step 5 and the segment of
+    """A disk sup costs 2*NT points, the ray of step 5 and the segment of
     remark 5 one point per fine sample, and no call sees a point twice.  Only
     the decomposition identity evaluates psi2.  The theorem reaches only the
-    pair's log-ratio evaluator; step 5 evaluates psi1 on the ray and feeds the
-    log ratio the ray and then the tail disk; remark 5 evaluates psi1 and the
+    pair's log-ratio evaluator; step 5 feeds the log ratio the ray and then
+    the tail disk, and evaluates no model; remark 5 evaluates psi1 and the
     log ratio on its segment."""
     grid = DiskGrid(rings=6, spokes=40)
-    disk = (grid.rings + 1) * grid.spokes
+    disk = 2 * grid.spokes
     lattice = grid.rings * grid.spokes
     build = engineered_pair(3)
     spec, p = build.spec, build.p
@@ -130,7 +139,7 @@ def test_each_sample_is_evaluated_once(evaluated):
                                grid=grid)],
          lambda reps: {tail_a: [disk]}),
         (lambda: check_step5_bounds(build, grid=grid, segment_samples=64),
-         lambda reps: {build.psi1: [reps[0].samples], build: [reps[0].samples, disk]}),
+         lambda reps: {build: [reps[0].samples, disk]}),
         (lambda: [check_remark5(build, samples=256)],
          lambda reps: {build.psi1: [511], build: [511]}),
         (lambda: [check_decomposition(build, grid=grid)],
@@ -145,10 +154,51 @@ def test_each_sample_is_evaluated_once(evaluated):
                 assert len(np.unique(z)) == len(z)
 
 
+_DISK_SUPS = ("tail-product-smallness", "segment-to-disk-amplification", "tail-ratio-magnitude",
+              "tail-ratio-deviation", "exponent-difference", "ratio-bound-constant-form",
+              "ratio-bound-accuracy-form")
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (8, 16), (24, 16), (8, 64), (3, 256)],
+                         ids=lambda shape: "%dx%d" % shape)
+def test_disk_sup_costs_two_points_per_spoke(shape, evaluated):
+    """Each disk sup evaluates exactly 2*NT points, whatever the ring count
+    NR: the boundary circle at twice the spokes.  Lemma 3 adds its segment."""
+    grid = DiskGrid(*shape)
+    build = engineered_pair(1, poly_scale=1.5e-05)
+    spec, p = build.spec, build.p
+    r = spec.R ** (1.0 - spec.delta)
+    poly = np.subtract(spec.poly_b, spec.poly_a)
+    degree = len(poly) - 1
+    segment = len(segment_points(r, (degree + 1) * r, 2048,
+                                 include=r * np.arange(1, degree + 2, dtype=float)))
+    reports = (
+        [check_lemma2(spec.outer_a, spec.R, float(p + 1), p, spec.delta, spec.params, grid=grid),
+         check_lemma3(poly, r, spec.params.mu, grid=grid)]
+        + check_step5_bounds(build, grid=grid, segment_samples=64)
+        + check_theorem(build, grid=grid)
+    )
+    disks = [rep for rep in reports if rep.check in _DISK_SUPS]
+    assert len(disks) == len(_DISK_SUPS)
+    for rep in disks:
+        extra = segment if rep.check == "segment-to-disk-amplification" else 0
+        assert rep.samples == 2 * grid.spokes + extra, rep.check
+    # the pair's log ratio sees the ray, the tail disk and the theorem's disk
+    assert [len(z) for z in evaluated[build]] == [reports[2].samples, 2 * grid.spokes, 2 * grid.spokes]
+
+
+def _window_envelope(build, model):
+    """|model - 1| r^mu at build_pair's 129 measurement radii, at its largest."""
+    spec = build.spec
+    lo, hi = measurement_window(spec.R, spec.delta, build.p, spec.params.r0)
+    return ray_envelope_constant(model, spec.ray_angle, spec.params.mu, np.geomspace(lo, hi, 129))
+
+
 def test_step5_envelopes_are_the_ray_envelope_constants():
-    """Step 5 reads its envelopes off its fine ray values: the coarse samples
-    plus their midpoints, plus the nodes k*R^(1-delta).  psi2 is read as
-    psi1*e^L."""
+    """Step 5 reads the envelopes that build_pair measured on its window:
+    the ray envelope constants of psi1 and psi2 at 129 log-spaced radii.
+    Its ray samples the coarse radii plus their midpoints, plus the nodes
+    k*R^(1-delta)."""
     n = 96
     for seed, scale in ((0, 0.0), (1, 1.5e-05)):
         build = engineered_pair(seed, poly_scale=scale)
@@ -160,10 +210,26 @@ def test_step5_envelopes_are_the_ray_envelope_constants():
         assert reports[0].samples == len(radii)
         for rep in (reports[0], reports[-1]):
             actual = {c.name: c.actual for c in rep.preconditions}
-            for name, model in (("psi1", build.psi1),
-                                ("psi2", lambda z: build.psi1(z) * np.exp(build.log_ratio(z)))):
-                assert actual[f"measured ray envelope {name} <= C1"] == ray_envelope_constant(
-                    model, spec.ray_angle, spec.params.mu, radii)
+            for name, model in (("psi1", build.psi1), ("psi2", build.psi2)):
+                assert actual[f"measured ray envelope {name} <= C1"] == _window_envelope(build, model)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_theorem_and_step5_read_the_same_envelopes(seed):
+    """Within one pair, each ray envelope precondition has the same actual
+    value in the theorem's constant form and in both step 5 reports that
+    carry it."""
+    build = engineered_pair(seed, poly_scale=1.5e-05 * (seed % 2))
+    names = [f"measured ray envelope {name} <= C1" for name in ("psi1", "psi2")]
+
+    def actuals(rep):
+        return [c.actual for c in rep.preconditions if c.name in names]
+
+    theorem = actuals(check_theorem(build, grid=_SMALL)[0])
+    assert len(theorem) == 2
+    step5 = check_step5_bounds(build, grid=_SMALL, segment_samples=64)
+    assert actuals(step5[0]) == theorem
+    assert actuals(step5[-1]) == theorem
 
 
 def _wide_pair():
@@ -175,7 +241,6 @@ def _wide_pair():
     return build_pair(PairSpec(shared, *outer, R=R, delta=2.0 / 3.0, params=params))
 
 
-_SEGMENT_SUPS = ("ray-ratio-smallness", "difference-on-real-segment")
 _NO_SUP = ("decomposition-identity", "eta-smallness")
 
 
@@ -183,7 +248,7 @@ _NO_SUP = ("decomposition-identity", "eta-smallness")
                          ids=["engineered", "wide"])
 def test_every_sampled_sup_report_has_one_shape(make):
     """observed is the refined sup, the last precondition is the 1% agreement
-    of the two sups, and a disk report has one profile row per ring."""
+    of the two sups, and the details end with the two sups."""
     grid = DiskGrid(rings=5, spokes=48)
     build = make()
     spec, p = build.spec, build.p
@@ -205,15 +270,9 @@ def test_every_sampled_sup_report_has_one_shape(make):
         assert last.name == "grid sup converged"
         assert last.actual == (abs(fine - base) / max(fine, base) if fine or base else 0.0)
         assert [c.name for c in rep.preconditions].count("grid sup converged") == 1
-        if rep.check in _SEGMENT_SUPS:
-            assert "profile" not in rep.details
-            continue
-        profile = rep.details["profile"]
-        assert list(rep.details)[-3:] == ["sup_base", "sup_refined", "profile"]
-        radius = rep.details.get("disk_radius", rep.details.get("r"))
-        assert [row[0] for row in profile] == grid.ring_radii(radius).tolist()
-        assert all(row[1] == rep.bound for row in profile)
-        assert max(row[2] for row in profile) == base
+        assert list(rep.details)[-2:] == ["sup_base", "sup_refined"]
+    for rep in reports:
+        assert "profile" not in rep.details
     for rep in reports:
         if rep.check in _NO_SUP:
             assert "sup_refined" not in rep.details
