@@ -88,7 +88,6 @@ from .zeros import (
     CountResult,
     EvaluationError,
     as_analytic,
-    count_bound_check,
     count_zeros,
     jensen_check,
     locate_zeros,

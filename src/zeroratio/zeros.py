@@ -16,8 +16,9 @@ pencil are their locations, and a Vandermonde fit gives their multiplicities
 (Kravanja, Sakurai & Van Barel, BIT 39, 1999).  The Hankel problem is
 ill-conditioned for many zeros, so a disk with more than _PENCIL_CAP zeros,
 or one whose pencil is rejected, is covered by counted square subdivision
-whose cells' circumcircles are the pencil leaves.  Simple zeros are finished
-by a secant step, multiple ones by one pencil pass on a small circle.
+whose cells' circumcircles are the pencil leaves.  A leaf's simple zeros
+share one vectorized secant iteration, multiple ones get one pencil pass on
+a small circle, and one evaluator call tests every reported zero's residual.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import ClassParams, ParameterError, threshold_r1
+from .constants import ParameterError
 from .factors import ZeroSet
-from .report import VerificationReport, precondition
 
 
 class ZeroOnContourError(RuntimeError):
@@ -331,34 +331,51 @@ def _pencil(s: np.ndarray) -> list[tuple[complex, int]] | None:
     return [(complex(w), int(c)) for w, c in zip(nodes, counts)]
 
 
-def _secant(fn: AnalyticFn, w: complex, iso: float) -> complex:
-    """Secant iteration from a node; kept only if it stays within iso/2 of it."""
-    z0, z1 = w + iso / 1024.0, w
-    f0 = fn(z0)
-    for _ in range(60):
-        f1 = fn(z1)
-        if f1 == f0 or f1 == 0:
+def _secants(fn: AnalyticFn, w: np.ndarray, iso: np.ndarray) -> np.ndarray:
+    """Secant iteration from every node w_j at once, one call per step; kept only within iso_j/2 of w_j.
+
+    Each node starts from w_j + iso_j/1024 and w_j, and stops on its own when
+    f repeats or vanishes, when a step falls to 1e-15 max(1, |z|), or after
+    60 steps.
+    """
+    z0, z1 = w + iso / 1024.0, w.copy()
+    f0, f1 = np.split(fn(np.concatenate([z0, z1])), 2)
+    live = np.arange(len(w))
+    for step in range(60):
+        if step:
+            f1 = fn(z1[live])
+        keep = (f1 != f0[live]) & (f1 != 0)
+        live, f1 = live[keep], f1[keep]
+        with np.errstate(invalid="ignore", over="ignore"):  # a NaN iterate falls back to its node
+            z0[live], f0[live], z1[live] = z1[live], f1, z1[live] - f1 * (z1[live] - z0[live]) / (f1 - f0[live])
+        live = live[~(np.abs(z1[live] - z0[live]) <= 1e-15 * np.maximum(1.0, np.abs(z1[live])))]
+        if not live.size:
             break
-        z0, f0, z1 = z1, f1, z1 - f1 * (z1 - z0) / (f1 - f0)
-        if abs(z1 - z0) <= 1e-15 * max(1.0, abs(z1)):
-            break
-    return z1 if abs(z1 - w) <= iso / 2.0 else w
+    return np.where(np.abs(z1 - w) <= iso / 2.0, z1, w)
 
 
-def _residual(fn: AnalyticFn, w: complex) -> float:
-    """|f(w)| relative to the largest |f| on a ring of radius 1e-6 max(1, |w|) around w."""
-    ring = fn(w + 1e-6 * max(1.0, abs(w)) * np.exp(2j * math.pi * np.arange(8) / 8.0))
-    scale = float(np.abs(ring).max())
-    return abs(fn(w)) / scale if scale > 0 else 0.0
+def _residuals(fn: AnalyticFn, w) -> np.ndarray:
+    """|f(w)| over the largest |f| on a ring of radius 1e-6 max(1, |w|) around w, every w in one call.
+
+    The ratio is 0 where f vanishes on the whole ring.  Raises EvaluationError
+    when f is not finite at a ring point or at w.
+    """
+    w = np.asarray(w, dtype=complex)
+    ring = (1e-6 * np.maximum(1.0, np.abs(w)))[:, None] * np.exp(2j * math.pi * np.arange(8) / 8.0)
+    values = fn(np.column_stack([w[:, None] + ring, w]))
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError("non-finite function value at a located zero or on its residual ring")
+    scale = np.abs(values[:, :8]).max(axis=1)
+    return np.abs(values[:, 8]) / np.where(scale > 0, scale, np.inf)
 
 
 def _leaf(fn: AnalyticFn, center: complex, radius: float, polish_multiple: bool = True) -> list | None:
     """All zeros inside one circle as (location, multiplicity) pairs, or None.
 
-    The pencil nodes are polished: simple zeros by a secant step, multiple
-    ones by one pencil pass on a small circle around them, which also splits
-    a close cluster that the large circle saw as one multiple zero.  None
-    means the circle was rejected and must be subdivided.
+    The pencil nodes are polished: the simple zeros by one shared secant
+    iteration, each multiple one by one pencil pass on a small circle around
+    it, which also splits a close cluster that the large circle saw as one
+    multiple zero.  None means the circle was rejected and must be subdivided.
     """
     try:
         s = _circle_moments(fn, center, radius)
@@ -366,22 +383,26 @@ def _leaf(fn: AnalyticFn, center: complex, radius: float, polish_multiple: bool 
         return None
     if s is None or (found := _pencil(s)) is None:
         return None
+    nodes, mults = (np.array(column) for column in zip(*found))
+    z = center + radius * nodes
+    # distance to the nearest other node or to the circle: no other zero is closer
+    gaps = np.where(np.eye(len(nodes), dtype=bool), np.inf, np.abs(nodes[:, None] - nodes))
+    iso = radius * np.minimum(1.0 - np.abs(nodes), gaps.min(axis=1))
+    if np.any(simple := mults == 1):
+        z[simple] = _secants(fn, z[simple], iso[simple])
     out = []
-    for j, (w, mult) in enumerate(found):
-        z = center + radius * w
-        # distance to the nearest other node or to the circle: no other zero is closer
-        iso = radius * min([1.0 - abs(w)] + [abs(w - v) for i, (v, _) in enumerate(found) if i != j])
-        if mult == 1:
-            out.append((_secant(fn, z, iso), 1))
-        elif not polish_multiple:
-            out.append((z, mult))
-        else:
-            inner = _leaf(fn, z, min(_POLISH_RADIUS * max(1.0, abs(z)), iso / 4.0), False)
-            # a cluster too tight for the small circle fails the residual and goes to subdivision
-            if inner is None or sum(k for _, k in inner) != mult or any(
-                    k > 1 and _residual(fn, v) > _RESIDUAL_TOL for v, k in inner):
-                return None
-            out.extend(inner)
+    for zj, isoj, mult in zip(z.tolist(), iso.tolist(), mults.tolist()):
+        if mult == 1 or not polish_multiple:
+            out.append((zj, mult))
+            continue
+        inner = _leaf(fn, zj, min(_POLISH_RADIUS * max(1.0, abs(zj)), isoj / 4.0), False)
+        if inner is None or sum(k for _, k in inner) != mult:
+            return None
+        # a cluster too tight for the small circle fails the residual and goes to subdivision
+        multiple = [v for v, k in inner if k > 1]
+        if multiple and np.any(_residuals(fn, multiple) > _RESIDUAL_TOL):
+            return None
+        out.extend(inner)
     return out
 
 
@@ -482,14 +503,14 @@ def locate_zeros(f, center: complex = 0j, radius: float = 1.0) -> ZeroSet:
             f"located multiplicities sum to {total}, but the disk winding says {outer.count}"
         )
     # residual sanity: each reported zero must actually kill the function
-    for w, m in inside:
-        if (ratio := _residual(fn, w)) > _RESIDUAL_TOL:
+    for (w, _), ratio in zip(inside, _residuals(fn, [w for w, _ in inside])):
+        if ratio > _RESIDUAL_TOL:
             raise UnresolvedClusterError(f"reported zero {w:.8g} has |f| at {ratio:.3g} of its local scale")
     return ZeroSet(tuple(inside))
 
 
 # ---------------------------------------------------------------------------
-# Jensen consistency and the zero-count bound
+# Jensen consistency
 # ---------------------------------------------------------------------------
 
 
@@ -536,29 +557,3 @@ def jensen_check(f, radius: float, zeros=None) -> tuple[float, float]:
     zs = list(zeros) if zeros is not None else locate_zeros(fn, 0j, radius)
     rhs = math.fsum(m * math.log(radius / abs(w)) for w, m in zs if abs(w) < radius)
     return lhs, rhs
-
-
-def count_bound_check(f, params: ClassParams, radius: float) -> VerificationReport:
-    """Compare the zero count in |z| <= radius against 2*sigma*(2e)^rho*r^rho.
-
-    The bound is only claimed for radius >= r1; below that the report carries
-    an unmet precondition instead of a verdict-bearing comparison.
-    """
-    r1 = threshold_r1(params)
-    result = count_zeros(f, 0j, radius)
-    bound = params.count_rate() * radius**params.rho
-    return VerificationReport(
-        check="zero-count-bound",
-        bound=bound,
-        observed=float(result.count),
-        samples=result.samples,
-        preconditions=[
-            precondition("radius >= r1", radius >= r1, r1, radius),
-            precondition("winding reliable", result.reliable, 0.25, result.residual),
-        ],
-        details={
-            "radius": radius,
-            "winding": result.winding,
-            "count": result.count,
-        },
-    )

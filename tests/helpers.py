@@ -5,9 +5,11 @@ import math
 import mpmath
 import numpy as np
 
-from zeroratio.constants import ClassParams
+from zeroratio.constants import ClassParams, threshold_r1
 from zeroratio.factors import ZeroSet, _partial_sum
 from zeroratio.models import PairSpec, _spread_radii
+from zeroratio.report import VerificationReport, precondition
+from zeroratio.zeros import count_zeros
 
 _RANDOM_PAIR_PARAMS = ClassParams(C0=2.0, C1=1.0, rho=1.0, sigma=0.08, mu=1.0, r0=1.0)
 
@@ -69,3 +71,43 @@ def mpmath_product(model, w):
         partial = sum(xi**k / k for k in range(1, model.genus + 1))
         value *= ((1 - xi) * mpmath.exp(partial)) ** mult
     return value
+
+
+def secant_reference(fn, w: complex, iso: float) -> complex:
+    """One node's secant iteration in Python scalars, one evaluation per step."""
+    z0, z1 = w + iso / 1024.0, w
+    f0 = fn(z0)
+    for _ in range(60):
+        f1 = fn(z1)
+        if f1 == f0 or f1 == 0:
+            break
+        z0, f0, z1 = z1, f1, z1 - f1 * (z1 - z0) / (f1 - f0)
+        if abs(z1 - z0) <= 1e-15 * max(1.0, abs(z1)):
+            break
+    return z1 if abs(z1 - w) <= iso / 2.0 else w
+
+
+def count_bound_check(f, params: ClassParams, radius: float) -> VerificationReport:
+    """Compare the zero count in |z| <= radius against 2*sigma*(2e)^rho*r^rho.
+
+    The bound is only claimed for radius >= r1; below that the report carries
+    an unmet precondition instead of a verdict-bearing comparison.
+    """
+    r1 = threshold_r1(params)
+    result = count_zeros(f, 0j, radius)
+    bound = params.count_rate() * radius**params.rho
+    return VerificationReport(
+        check="zero-count-bound",
+        bound=bound,
+        observed=float(result.count),
+        samples=result.samples,
+        preconditions=[
+            precondition("radius >= r1", radius >= r1, r1, radius),
+            precondition("winding reliable", result.reliable, 0.25, result.residual),
+        ],
+        details={
+            "radius": radius,
+            "winding": result.winding,
+            "count": result.count,
+        },
+    )

@@ -53,9 +53,9 @@ from zeroratio.verifier import (
     check_lemma3,
     check_theorem,
 )
-from zeroratio.zeros import count_bound_check, count_zeros, jensen_check
+from zeroratio.zeros import count_zeros, jensen_check
 
-from helpers import primary_factor_grid, random_pair
+from helpers import count_bound_check, primary_factor_grid, random_pair
 
 
 _LINES: list[str] = []

@@ -8,16 +8,18 @@ import pytest
 from zeroratio.constants import ClassParams
 from zeroratio.factors import ZeroSet
 from zeroratio import zeros as zeros_module
+from zeroratio.jost import JostFn, Kernel
 from zeroratio.models import EntireModel, engineered_pair
 from zeroratio.report import PASS, PASS_UNMET
 from zeroratio.zeros import (
     AnalyticFn,
     EvaluationError,
-    count_bound_check,
     count_zeros,
     jensen_check,
     locate_zeros,
 )
+
+from helpers import count_bound_check, secant_reference
 
 
 def poly_fn(*roots):
@@ -32,6 +34,17 @@ def poly_fn(*roots):
         return out
 
     return AnalyticFn(evaluator=evaluate)
+
+
+def counting(fn):
+    """fn behind an AnalyticFn that records the size of every evaluator call."""
+    batches = []
+
+    def evaluate(z):
+        batches.append(len(z))
+        return fn(z)
+
+    return AnalyticFn(evaluator=evaluate), batches
 
 
 def test_scalar_evaluator_raises_evaluation_error():
@@ -195,6 +208,55 @@ def test_locate_engineered_pair_costs_few_evaluations_per_zero():
     zs = locate_zeros(AnalyticFn(evaluator=evaluate), radius=300.0)
     assert_located(zs, [(w, m) for w, m in psi1.zeros if abs(w) < 300.0])
     assert sum(evaluations) <= 1000 * len(zs)
+
+
+@pytest.mark.parametrize("label, fn, radius, n_zeros, max_calls, points", [
+    ("engineered psi1", engineered_pair(0).psi1.as_analytic_fn(), 300.0, 6, 20, 1356),
+    ("piecewise transform", JostFn(Kernel.piecewise((0, 0.5, 1), ((1.2, 0.4), (0.7, -0.5)))).as_analytic_fn(),
+     40.0, 12, 45, 3676),
+])
+def test_locate_makes_few_evaluator_calls(label, fn, radius, n_zeros, max_calls, points):
+    """A leaf's secant steps and a locate's residual test each take one call
+    for all their zeros, not one call per zero."""
+    counted, batches = counting(fn)
+    zs = locate_zeros(counted, 0j, radius)
+    assert sum(m for _, m in zs) == n_zeros, label
+    assert len(batches) <= max_calls, label
+    assert sum(batches) == points, label
+
+
+def test_secants_match_the_scalar_iteration_node_by_node():
+    """Every node of `_secants` lands bitwise where the scalar iteration puts
+    it, although the nodes stop after different numbers of steps, and a node
+    whose iterate leaves iso/2 keeps its pencil node."""
+    roots = [0.5, -0.3 + 0.4j, 0.8j, -0.7 - 0.2j]
+    fn = poly_fn(*roots)
+    # an exact root, a near and a far start, and a start 1e-2 off a root with iso 1e-4
+    w = np.array([0.5, -0.3 + 0.401j, 0.75j, -0.7 - 0.19j])
+    iso = np.array([0.1, 0.05, 0.2, 1e-4])
+    steps = []
+    for wj, isoj in zip(w.tolist(), iso.tolist()):
+        counted, batches = counting(fn)
+        steps.append((secant_reference(counted, wj, isoj), len(batches) - 1))
+    assert len({k for _, k in steps}) == 4  # every node takes its own number of steps
+    assert steps[0][1] == 1 and steps[3][0] == w[3]
+
+    counted, batches = counting(fn)
+    got = zeros_module._secants(counted, w, iso)
+    assert got.tolist() == [z for z, _ in steps]
+    # one call per step of the slowest node, the first also evaluating every start
+    assert len(batches) == max(k for _, k in steps)
+    assert batches[0] == 2 * len(w)
+
+
+def test_non_finite_value_at_a_located_zero_raises():
+    """A zero whose own value is NaN cannot pass the residual test: NaN > tol
+    is False, so the test must reject non-finite values first."""
+    def evaluate(z):
+        return np.where(np.abs(z - 0.5) < 1e-9, np.nan, (z - 0.5) * (z + 0.3j))
+
+    with pytest.raises(EvaluationError, match="located zero"):
+        locate_zeros(AnalyticFn(evaluator=evaluate), 0j, 1.0)
 
 
 # ---------------------------------------------------------------------------
