@@ -232,11 +232,8 @@ class CofactorTable:
         n = self.size
         if not 1 <= j <= n:
             raise ParameterError(f"column index must lie in 1..{n}")
-        terms = [
-            float(Fraction(abs(self.cofactors[k][j - 1]), self.det)) * float(k + 1) ** (-mu)
-            for k in range(n)
-        ]
-        return math.fsum(terms)
+        return math.fsum(abs(self.cofactors[k][j - 1]) / self.det * float(k + 1) ** (-mu)
+                         for k in range(n))
 
 
 def vandermonde_cofactors(p: int) -> CofactorTable:
@@ -287,12 +284,8 @@ def constant_Ap(p: int, mu: float) -> float:
     if mu <= 0:
         raise ParameterError("mu must be positive")
     table = vandermonde_cofactors(p)
-    col_sums = table.column_abs_sums()
-    terms = [
-        float(Fraction(col_sums[j], table.det)) * float(j + 1) ** (-mu)
-        for j in range(table.size)
-    ]
-    return math.fsum(terms)
+    return math.fsum(n / table.det * float(j + 1) ** (-mu)
+                     for j, n in enumerate(table.column_abs_sums()))
 
 
 def _int_nth_root(n: int, k: int) -> int:
@@ -411,11 +404,9 @@ def _stage_constants(
 def final_exponent(mu, delta):
     """Exponent mu*(1-delta) of the final bound eps / R^(mu*(1-delta)).
 
-    Accepts floats or Fractions and preserves exact arithmetic when given
-    Fractions, so symbolic spot checks stay exact.
+    Given Fractions it stays exact, for symbolic spot checks.
     """
-    one = Fraction(1) if isinstance(delta, Fraction) or isinstance(mu, Fraction) else 1.0
-    return mu * (one - delta)
+    return mu * (1 - delta)
 
 
 # ---------------------------------------------------------------------------

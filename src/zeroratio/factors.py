@@ -108,7 +108,7 @@ class ZeroSet:
 
     def count_within(self, r: float) -> int:
         """Number of zeros with modulus <= r, counted with multiplicity."""
-        return int(sum(m for loc, m in self.entries if abs(loc) <= r))
+        return int(self.multiplicities()[self.moduli() <= r].sum())
 
     def min_modulus(self) -> float:
         return abs(self.entries[0][0]) if self.entries else math.inf

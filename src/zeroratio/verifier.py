@@ -478,8 +478,10 @@ def check_theorem(
     The deviation is read as |e^L - 1| with L = (g2 - g1) + log(Pi2/Pi1).
     The constant form compares against 20*Ap*C1/R^(mu(1-delta)) and carries
     the activation preconditions R >= r1..r5; the accuracy form compares
-    against eps/R^(mu(1-delta)) and requires R >= R0(eps).  Both reuse the
-    same sampled supremum with a refinement-stability precondition.
+    against eps/R^(mu(1-delta)) and requires R >= R0(eps).  Both carry the
+    class hypotheses build_pair measured (both ray envelopes <= C1, both zero
+    counts within the class rate) and reuse the same sampled supremum with a
+    refinement-stability precondition.
     """
     spec = build.spec
     params = spec.params
@@ -491,19 +493,18 @@ def check_theorem(
     sup = _Sup.of(np.abs(cexpm1(build.log_ratio(pts))), coarse)
     details = dict(R=R, delta=delta, p=build.p, Ap=derived.main.Ap,
                    exponent=derived.exponent, disk_radius=radius)
+    hypotheses = _envelope_preconditions(build) + _pair_compliance(build)
     report_const = sup.report(
         "ratio-bound-constant-form",
         derived.ratio_bound(R),
         [precondition("R >= max(r1..r5)", R >= derived.main.max_radius,
-                      derived.main.max_radius, R)]
-        + _envelope_preconditions(build)
-        + _pair_compliance(build),
+                      derived.main.max_radius, R)] + hypotheses,
         details,
     )
     report_eps = sup.report(
         "ratio-bound-accuracy-form",
         derived.eps_bound(R),
-        [precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R)],
+        [precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R)] + hypotheses,
         dict(details, eps=eps, R0=derived.R0),
     )
     return [report_const, report_eps]
@@ -523,7 +524,8 @@ def check_remark5(
     the ratio bound times the measured sup of |psi1| there.
 
     The exponent in the bound is mu*(1-delta), following the ratio bound the
-    chain actually establishes.
+    chain actually establishes.  Like the theorem's accuracy form it requires
+    R >= R0(eps) and carries the class hypotheses build_pair measured.
     """
     spec = build.spec
     R, delta = spec.R, spec.delta
@@ -536,7 +538,8 @@ def check_remark5(
     return _Sup.of(abs_psi1 * np.abs(cexpm1(build.log_ratio(xs))), coarse).report(
         "difference-on-real-segment",
         derived.eps_bound(R) * sup_psi1,
-        [precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R)],
+        [precondition("R >= R0(eps)", R >= derived.R0, derived.R0, R)]
+        + _envelope_preconditions(build) + _pair_compliance(build),
         dict(segment_half_length=half, sup_psi1=sup_psi1, eps=eps,
              exponent=derived.exponent, ratio_bound=derived.eps_bound(R)),
     )

@@ -7,7 +7,7 @@ import numpy as np
 
 from zeroratio.constants import ClassParams, threshold_r1
 from zeroratio.factors import ZeroSet, _partial_sum
-from zeroratio.models import PairSpec, _spread_radii
+from zeroratio.models import CountCompliance, PairSpec, _spread_radii
 from zeroratio.report import VerificationReport, precondition
 from zeroratio.zeros import count_zeros
 
@@ -52,6 +52,26 @@ def random_pair(
         params=params,
         ray_angle=ray_angle,
     )
+
+
+def outside_class_pair() -> PairSpec:
+    """A pair past R0 that breaks its class: the engineered class with C1 =
+    1e-3 at R = 1e9 and delta = 0.9; 4 shared zeros in [0.77R, 0.973R], then
+    3 + 3 outer zeros in [1.04R, 1.383R] from default_rng(0), radii drawn
+    before angles; and psi2 carries the exponent 0.1 z, whose ray envelope
+    (3.9e4) is far above C1."""
+    rng = np.random.default_rng(0)
+    R = 1e9
+
+    def zeros(n, lo, hi):
+        radii = rng.uniform(lo * R, hi * R, n)
+        return ZeroSet.from_points(radii * np.exp(1j * rng.uniform(0, 2 * np.pi, n)))
+
+    params = ClassParams(C0=0.5, C1=1e-3, rho=1.0, sigma=2.2e-3, mu=2.0, r0=1.0)
+    shared = zeros(4, 0.77, 0.973)
+    outer_a = zeros(3, 1.04, 1.383)
+    return PairSpec(shared, outer_a, zeros(3, 1.04, 1.383), R=R, delta=0.9, params=params,
+                    poly_b=(0, 0.1))
 
 
 def primary_factor_grid(z: np.ndarray, location: complex, p: int) -> np.ndarray:
@@ -110,4 +130,31 @@ def count_bound_check(f, params: ClassParams, radius: float) -> VerificationRepo
             "winding": result.winding,
             "count": result.count,
         },
+    )
+
+
+def count_compliance_loop(zeros: ZeroSet, params: ClassParams) -> CountCompliance:
+    """The per-zero Python loop that `count_compliance` replaced, kept as its
+    reference: the count at r1 and at every zero at or beyond r1."""
+    r1 = threshold_r1(params)
+    rate = params.count_rate()
+    moduli = zeros.moduli()
+    if len(moduli) == 0:
+        return CountCompliance(True, math.inf, r1, 0, rate * r1**params.rho)
+    cumulative = np.cumsum(zeros.multiplicities())
+    radii = [r1]
+    counts = [int(sum(m for loc, m in zeros.entries if abs(loc) <= r1))]
+    for s, n in zip(moduli, cumulative):
+        if s >= r1:
+            radii.append(float(s))
+            counts.append(int(n))
+    bounds = [rate * r**params.rho for r in radii]
+    ratios = [b / n if n > 0 else math.inf for b, n in zip(bounds, counts)]
+    k = int(np.argmin(ratios))
+    return CountCompliance(
+        ok=all(n <= b for n, b in zip(counts, bounds)),
+        margin=float(ratios[k]),
+        worst_radius=radii[k],
+        worst_count=counts[k],
+        worst_bound=bounds[k],
     )

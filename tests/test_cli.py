@@ -15,7 +15,7 @@ from zeroratio.jost import Kernel, save_kernel
 from zeroratio.models import save_pair_file
 from zeroratio.report import VerificationReport, format_float
 
-from helpers import random_pair
+from helpers import outside_class_pair, random_pair
 
 
 def run(argv):
@@ -283,6 +283,27 @@ def test_failing_verdict_exits_1(tmp_path, monkeypatch):
     assert rc == 1
     data = json.loads((tmp_path / "r.json").read_text())
     assert data[0]["verdict"] == "fail"
+
+
+def test_pair_outside_its_class_names_the_broken_hypothesis(tmp_path, capsys):
+    """Past R0, a pair whose psi2 breaks the ray hypothesis exceeds every form
+    of the bound.  No report is a `fail` with every precondition met: each
+    names psi2's envelope as unmet, and both runs exit 0."""
+    pair = tmp_path / "pair.json"
+    save_pair_file(outside_class_pair(), str(pair))
+    checks = {"theorem": ["ratio-bound-constant-form", "ratio-bound-accuracy-form"],
+              "remark5": ["difference-on-real-segment"]}
+    for name, expected in checks.items():
+        assert run(["verify", name, "--pair", str(pair), "--R", "1e9", "--delta", "0.9"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert [report["check"] for report in reports] == expected
+        for report in reports:
+            assert report["verdict"] == "pass-with-unmet-preconditions"
+            assert float(report["observed"]) > float(report["bound"])
+            unmet = [(pre["name"], float(pre["actual"])) for pre in report["preconditions"]
+                     if not pre["satisfied"]]
+            assert [name for name, _ in unmet] == ["measured ray envelope psi2 <= C1"]
+            assert unmet[0][1] > 1e4
 
 
 def assert_evaluation_error(rc, capsys):

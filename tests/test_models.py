@@ -30,7 +30,7 @@ from zeroratio.models import (
 from zeroratio.verifier import check_theorem
 from zeroratio.zeros import locate_zeros
 
-from helpers import mpmath_product, random_pair
+from helpers import count_compliance_loop, mpmath_product, random_pair
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +199,29 @@ def test_compliance_detects_violation():
     assert comp.worst_bound == pytest.approx(1.5)
 
 
+def test_count_compliance_matches_the_per_zero_loop():
+    """The one numpy pass gives the loop's record repr for repr: the same
+    floats, Python types and worst radius, on empty sets, zeros exactly at r1,
+    compliant and violating sets, and rho in {0.5, 1.5, 2.5} among others."""
+    rng = np.random.default_rng(30)
+    outcomes = set()
+    for trial in range(1200):
+        rho = (0.5, 1.5, 2.5)[trial % 3] if trial % 2 else float(rng.uniform(0.3, 3.0))
+        params = ClassParams(C0=float(rng.uniform(0.2, 4.0)), C1=float(rng.uniform(1e-3, 50.0)),
+                             rho=rho, sigma=float(rng.uniform(1e-3, 0.5)),
+                             mu=float(rng.uniform(0.5, 3.0)), r0=float(rng.uniform(1.0, 5.0)))
+        r1 = threshold_r1(params)
+        n = int(rng.integers(1, 12)) if trial % 10 else 0
+        points = r1 * rng.uniform(0.3, 4.0, n) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+        if n and trial % 7 == 0:
+            points[0] = r1
+        zeros = ZeroSet.from_points(points, rng.integers(1, 4, n))
+        comp = count_compliance(zeros, params)
+        assert repr(comp) == repr(count_compliance_loop(zeros, params)), trial
+        outcomes.add((comp.ok, comp.margin == math.inf))
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
 def test_compliant_tail_zeros_remain_compliant():
     params = ClassParams(C0=0.5, C1=0.5, rho=1.0, sigma=0.02, mu=1.0, r0=1.0)
     for seed in range(6):
@@ -363,6 +386,16 @@ def test_engineered_pair_invariants():
         assert build.measured.compliance_a.ok and build.measured.compliance_b.ok
 
 
+def test_threshold_r1_is_the_same_across_the_engineered_band():
+    """engineered_pair takes its one compliance pass at the band's floor; that
+    is the declared class's pass because r1 does not move within the band."""
+    floor, cap = models._ENGINEERED_C1_FLOOR, models._ENGINEERED_C1_CAP
+    assert models._ENGINEERED_PARAMS.C1 == floor
+    r1 = threshold_r1(models._ENGINEERED_PARAMS)
+    for C1 in np.linspace(floor, cap, 101):
+        assert threshold_r1(replace(models._ENGINEERED_PARAMS, C1=float(C1))) == r1
+
+
 def _engineered_pair_built_twice(spec):
     """The former construction: a probe build under the preset's C1, then a
     second build under the C1 declared from the probe's envelope."""
@@ -372,10 +405,10 @@ def _engineered_pair_built_twice(spec):
     return build_pair(replace(probe, params=replace(probe.params, C1=declared)))
 
 
-@pytest.mark.parametrize("poly_scale", [0.0, 1.5e-05])
+@pytest.mark.parametrize("poly_scale", [0.0, 1.5e-05, 3e-3])
 def test_engineered_pair_builds_once_and_matches_two_builds(monkeypatch, poly_scale):
     calls = []
-    params_of = {}  # id of each compliance record -> the parameters it was taken under
+    taken = []  # each compliance record of the current build and the parameters it was taken under
     envelope, compliance = models.ray_envelope_constant, models.count_compliance
 
     def counting(*args):
@@ -384,10 +417,11 @@ def test_engineered_pair_builds_once_and_matches_two_builds(monkeypatch, poly_sc
 
     def recording(zeros, params):
         record = compliance(zeros, params)
-        params_of[id(record)] = params
+        taken.append((record, params))
         return record
 
     for seed in range(20):
+        taken.clear()
         with monkeypatch.context() as m:
             m.setattr(models, "ray_envelope_constant", counting)
             m.setattr(models, "count_compliance", recording)
@@ -397,12 +431,14 @@ def test_engineered_pair_builds_once_and_matches_two_builds(monkeypatch, poly_sc
         assert build.spec == reference.spec
         assert build.measured == reference.measured
         assert build == reference
-        # the compliance is taken under the declared parameters, not the
-        # probe's; no engineered zero lies near r1, so the records themselves
-        # cannot tell r1 = sqrt(2) from r1 = 1 and the recorded parameters do
+        # one compliance pass per member, taken at the floor C1, which may lie
+        # below the declared one; it reads only r1, the count rate and rho from
+        # the parameters, and those are the declared class's
+        assert [record for record, _ in taken] == [build.measured.compliance_a, build.measured.compliance_b]
         params = build.spec.params
-        for record, model in ((build.measured.compliance_a, build.psi1), (build.measured.compliance_b, build.psi2)):
-            assert params_of[id(record)] == params
+        for (record, used), model in zip(taken, (build.psi1, build.psi2)):
+            assert (threshold_r1(used), used.count_rate(), used.rho) == (
+                threshold_r1(params), params.count_rate(), params.rho)
             assert record == count_compliance(model.zeros, params)
 
 
